@@ -127,10 +127,10 @@ func TestJournalUnknownRecordStopsReplay(t *testing.T) {
 // (or carrying garbage there) means real corruption.
 func TestJournalCorruptSnapshotFails(t *testing.T) {
 	for _, snap := range []string{
-		`<journal><s id="x"><c key="k" seq="0"/></s></journal>`,          // missing next
+		`<journal><s id="x"><c key="k" seq="0"/></s></journal>`,            // missing next
 		`<journal><s id="x" next="NaN"><c key="k" seq="0"/></s></journal>`, // bad next
-		`<journal><s id="x" next="3"><c key="k"/></s></journal>`,          // chunk without seq
-		`<journal><s next="3"/></journal>`,                                // session without id
+		`<journal><s id="x" next="3"><c key="k"/></s></journal>`,           // chunk without seq
+		`<journal><s next="3"/></journal>`,                                 // session without id
 	} {
 		dir := t.TempDir()
 		w, err := Open(dir, Options{})

@@ -17,6 +17,7 @@ import (
 	"io"
 	"strconv"
 	"sync"
+	"time"
 
 	"xdx/internal/core"
 	"xdx/internal/durable"
@@ -71,6 +72,49 @@ type targetSession struct {
 	running bool
 	done    bool
 	resp    *xmltree.Node
+	// receiving counts the delivery attempts still reading their request
+	// (guarded by stateMu); settled is closed when it drops to zero.
+	// SessionStatus waits for it, so the checkpoint it reports covers every
+	// chunk a torn attempt got through before its connection died.
+	receiving int
+	settled   chan struct{}
+}
+
+// settleWait bounds how long a SessionStatus probe waits for the session's
+// receiving attempts to finish reading.
+const settleWait = time.Second
+
+// beginReceive registers a delivery attempt reading its request.
+func (ts *targetSession) beginReceive() {
+	ts.stateMu.Lock()
+	if ts.receiving == 0 {
+		ts.settled = make(chan struct{})
+	}
+	ts.receiving++
+	ts.stateMu.Unlock()
+}
+
+// endReceive marks a delivery attempt's request read, completely or not.
+func (ts *targetSession) endReceive() {
+	ts.stateMu.Lock()
+	if ts.receiving--; ts.receiving == 0 {
+		close(ts.settled)
+	}
+	ts.stateMu.Unlock()
+}
+
+// awaitSettled waits, up to settleWait, until no delivery attempt is
+// still reading its request.
+func (ts *targetSession) awaitSettled() {
+	ts.stateMu.Lock()
+	settled, busy := ts.settled, ts.receiving > 0
+	ts.stateMu.Unlock()
+	if busy {
+		select {
+		case <-settled:
+		case <-time.After(settleWait):
+		}
+	}
 }
 
 // pendingCommit is one journaled-but-not-yet-durable chunk: the ticket to
@@ -529,8 +573,11 @@ func (e *Endpoint) sessionStatus(req *xmltree.Node) (*xmltree.Node, error) {
 		return resp, nil
 	}
 	// Probe state lives behind stateMu and the ledger's own lock — never
-	// the commit/execute lock — so a probe answers immediately even while
-	// a slow backend execution is in flight for this session.
+	// the commit/execute lock — so a probe answers without waiting for a
+	// slow backend execution in flight for this session. It does wait for
+	// attempts still reading their request: a torn attempt's last chunks
+	// may be in the target's buffers when the probe arrives.
+	ts.awaitSettled()
 	ts.stateMu.Lock()
 	done, running := ts.done, ts.running
 	ts.stateMu.Unlock()

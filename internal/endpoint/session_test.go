@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -547,4 +548,68 @@ func TestSessionStatusAnswersDuringSlowExecute(t *testing.T) {
 	if tgtStore.Rows() != fx.srcRows {
 		t.Errorf("target rows = %d, want %d", tgtStore.Rows(), fx.srcRows)
 	}
+}
+
+// TestSessionStatusWaitsForReceivingAttempt is the resume-point
+// regression: a probe that arrives while a torn attempt's last chunks are
+// still in the target's buffers must not answer with the checkpoint of
+// that moment, or the source resends chunks the target is about to
+// commit. The probe waits until the attempt stops reading, then reports
+// every chunk it got through.
+func TestSessionStatusWaitsForReceivingAttempt(t *testing.T) {
+	fx, done := newSessionFixture(t)
+	defer done()
+	const id = "sess-settle-1"
+	end0 := bytes.Index(fx.wire, []byte("</instance>")) + len("</instance>")
+	end1 := end0 + bytes.Index(fx.wire[end0:], []byte("</instance>")) + len("</instance>")
+
+	pr, pw := io.Pipe()
+	defer pw.CloseWithError(errors.New("test over")) // lets done() close the server on a failure
+	req, err := http.NewRequest(http.MethodPost, fx.client.URL, pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("SOAPAction", `"ExecuteTarget"`)
+	attempt := make(chan struct{})
+	go func() {
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+		close(attempt)
+	}()
+	io.WriteString(pw, `<soap:Envelope xmlns:soap="`+soap.EnvelopeNS+`"><soap:Body><ExecuteTarget session="`+id+`">`+fx.prog)
+	pw.Write(fx.wire[:end0])
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if s := fx.ep.Sessions().Get(id); s != nil && s.Ledger.Checkpoint() == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the target never committed chunk 0")
+		}
+	}
+
+	probe := make(chan string, 1)
+	go func() {
+		status := &xmltree.Node{Name: "SessionStatus"}
+		status.SetAttr("session", id)
+		st, err := fx.client.Call("SessionStatus", status)
+		if err != nil {
+			probe <- err.Error()
+			return
+		}
+		next, _ := st.Attr("next")
+		probe <- next
+	}()
+	time.Sleep(100 * time.Millisecond)
+	select {
+	case got := <-probe:
+		t.Fatalf("probe answered %q while the attempt was still reading", got)
+	default:
+	}
+	pw.Write(fx.wire[end0:end1])
+	pw.CloseWithError(errors.New("injected drop"))
+	if got := <-probe; got != "2" {
+		t.Errorf("probe reports checkpoint %q, want 2: the torn attempt's second chunk", got)
+	}
+	<-attempt
 }

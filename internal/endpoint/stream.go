@@ -17,6 +17,7 @@ package endpoint
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"time"
 
 	"xdx/internal/core"
@@ -77,8 +78,11 @@ func stampCodec(w io.Writer, c wire.Codec) {
 
 // respondSourceStream executes the source slice and streams the shipment
 // onto w as it is produced. Since serialization overlaps execution, the
-// query time cannot ride on the response root's attributes; it follows the
-// shipment as a trailing <timing> element.
+// query time and the shipment's tagged-XML payload size cannot ride on the
+// response root's attributes; they follow the shipment as a trailing
+// <timing> element. A chunk="N" attribute asks for a sequenced shipment of
+// chunks of at most N records — the resumable units of the agency's target
+// session, which the agency then relays verbatim.
 func (e *Endpoint) respondSourceStream(env soap.Header, req *xmltree.Node, w io.Writer) error {
 	g, a, err := decodeProgramChild(req, e.backend.Layout())
 	if err != nil {
@@ -95,6 +99,12 @@ func (e *Endpoint) respondSourceStream(env soap.Header, req *xmltree.Node, w io.
 	if err != nil {
 		return err
 	}
+	chunk := 0
+	if v, ok := req.Attr("chunk"); ok {
+		if chunk, err = strconv.Atoi(v); err != nil || chunk < 1 {
+			return &soap.Fault{Code: "soap:Client", String: fmt.Sprintf("bad chunk size %q", v)}
+		}
+	}
 	sch := e.backend.Layout().Schema
 	start := time.Now()
 	if _, err := io.WriteString(w, "<ExecuteSourceResponse>"); err != nil {
@@ -103,6 +113,7 @@ func (e *Endpoint) respondSourceStream(env soap.Header, req *xmltree.Node, w io.
 	sw := wire.NewShipmentWriterCodec(w, sch, codec)
 	sw.SetWorkers(e.codecWorkers)
 	sw.SetObs(e.met)
+	sw.SetChunkSize(chunk)
 	if v, ok := req.Attr("pipelined"); ok && attrTrue(v) {
 		// Producers emit straight onto the wire as they finish batches.
 		_, _, err = core.ExecuteSlicePipelined(g, sch, a, core.LocSource, core.SliceIO{
@@ -126,7 +137,7 @@ func (e *Endpoint) respondSourceStream(env soap.Header, req *xmltree.Node, w io.
 	elapsed := time.Since(start)
 	e.met.Counter("endpoint.source.executes").Inc()
 	e.met.Histogram("endpoint.source.millis").Observe(float64(elapsed) / float64(time.Millisecond))
-	if _, err := fmt.Fprintf(w, `<timing queryMillis="%s"/>`, formatMillis(elapsed)); err != nil {
+	if _, err := fmt.Fprintf(w, `<timing queryMillis="%s" payloadBytes="%d"/>`, formatMillis(elapsed), sw.PayloadBytes()); err != nil {
 		return err
 	}
 	_, err = io.WriteString(w, "</ExecuteSourceResponse>")
@@ -183,6 +194,7 @@ func (t *targetScan) StartElement(name string, attrs []xmltree.Attr) error {
 		t.pipelined = attrTrue(findAttr(attrs, "pipelined"))
 		if id := findAttr(attrs, "session"); id != "" {
 			t.ts = t.e.targetSessionFor(id)
+			t.ts.beginReceive()
 		}
 		t.stream = findAttr(attrs, "stream")
 		t.epoch = findAttr(attrs, "epoch")
@@ -216,6 +228,15 @@ func (t *targetScan) StartElement(name string, attrs []xmltree.Attr) error {
 			t.depth--
 			t.skip = 1
 		}
+	}
+	return nil
+}
+
+// Close implements io.Closer: the SOAP server has stopped reading the
+// request, so the session's probes no longer wait for this attempt.
+func (t *targetScan) Close() error {
+	if t.ts != nil {
+		t.ts.endReceive()
 	}
 	return nil
 }

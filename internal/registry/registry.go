@@ -541,13 +541,16 @@ type Report struct {
 	// and is kept for compatibility.
 	ShipBytes int64
 	ShipTime  time.Duration
-	// WireBytes is what actually crossed the link: shipment framing,
-	// codec encoding, compression and transfer text included — and, on
-	// the reliable path, retransmitted attempts. PayloadBytes is the same
-	// shipment measured in the universal tagged-XML tree codec, so the
-	// two diverge exactly by what the negotiated codec saved (or framing
-	// cost). PayloadBytes is zero on the buffered tree path, which
-	// forwards the shipment without decoding it.
+	// WireBytes is what actually crossed the agency→target link: shipment
+	// framing, codec encoding, compression and transfer text included —
+	// and, on the reliable path, retransmitted attempts. PayloadBytes is
+	// the same shipment measured in the universal tagged-XML tree codec,
+	// so the two diverge exactly by what the negotiated codec saved (or
+	// framing cost). On a relayed (full reliable) exchange the source
+	// counts PayloadBytes as it renders and reports it in its timing
+	// trailer; the streamed and delta paths measure what they decoded.
+	// PayloadBytes is zero on the buffered tree path, which forwards the
+	// shipment without decoding it.
 	WireBytes    int64
 	PayloadBytes int64
 	// Codec is the shipment codec the exchange actually traveled under —
@@ -602,7 +605,10 @@ type ExecOptions struct {
 	// "bin", or "bin+flate". On the streamed paths the agency advertises
 	// it (plus the universal "xml") on the request envelope and the
 	// source endpoint answers with its pick; the shipment itself stays
-	// self-describing either way.
+	// self-describing either way. A full reliable exchange relays the
+	// source's chunks, so its target hop carries the source's pick; the
+	// agency encodes in this codec only what it renders itself — deltas,
+	// their cold re-ships, and the streamed path.
 	Codec string
 	// FilterElem/FilterValue pass a service argument (§3.2) to the source:
 	// only root-fragment records whose FilterElem leaf equals FilterValue
@@ -649,7 +655,9 @@ type ExecOptions struct {
 	// ParallelChunks dials the agency-side chunk codec pools (encode
 	// renders and raw-chunk parses): 0 — the default — is one worker per
 	// CPU, 1 or less runs the codecs in-line. The wire bytes and the
-	// decoded instances are identical for every setting.
+	// decoded instances are identical for every setting. Only exchanges
+	// the agency decodes use the pools: deltas and the streamed path. A
+	// full reliable exchange relays the source's chunks undecoded.
 	ParallelChunks int
 	// Scheduler, when set, routes the drive through the admission-
 	// controlled exchange pool: the exchange waits for a worker under

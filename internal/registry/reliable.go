@@ -6,8 +6,8 @@ package registry
 // drives the exchange through internal/reliable instead:
 //
 //   - the source call is retried wholesale under backoff — it is idempotent
-//     (the source recomputes its slice), so each attempt decodes into a
-//     fresh map;
+//     (the source recomputes its slice), so each attempt scans into fresh
+//     state;
 //   - the target delivery becomes a resumable session: the shipment travels
 //     as seq-numbered chunks, a torn delivery is resumed from the chunk
 //     checkpoint the target acked via SessionStatus, and the target's
@@ -16,8 +16,18 @@ package registry
 //   - every attempt passes the endpoint's circuit breaker, and the whole
 //     exchange shares one retry budget and deadline.
 //
-// Reliability implies the streaming wire path: resume granularity is the
-// chunk, and chunks ride on the streaming shipment serialization.
+// A full exchange relays. The agency plans the exchange but is not one of
+// its computation nodes (§4.1 charges computation to S and T and
+// communication to the cross-edges), so it does not decode the shipment:
+// it asks the source for the session's chunking (chunk="N"), keeps the
+// sequenced chunks exactly as they arrived, and writes them into the
+// target session byte for byte, skipping the acked ones on a resume. The
+// target hop therefore carries the source's negotiated codec, and the
+// target's decoder is the one that validates every chunk. A delta
+// exchange decodes instead — hashing and diffing need record contents —
+// and renders the chunks it ships in the requested codec, as does its
+// full re-ship when either side is cold. The two hops stay sequential, so
+// retry, resume, breaker and dedup behave alike on both kinds.
 
 import (
 	"fmt"
@@ -61,7 +71,11 @@ func wireExchangeObs(ex *reliable.Exchange, opts ExecOptions) {
 }
 
 // executeReliable drives an exchange end-to-end under the reliability
-// config: retried source execution, resumable chunked target delivery.
+// config: retried source execution, resumable chunked target delivery. A
+// full exchange relays: the source cuts its shipment into the session's
+// sequenced chunks, and the agency keeps them verbatim and forwards them
+// byte for byte, never decoding a record. A delta exchange decodes, since
+// hashing and diffing need record contents, and renders what it ships.
 func (a *Agency) executeReliable(service string, plan *Plan, opts ExecOptions) (*Report, error) {
 	src, tgt := a.parties(service)
 	if src == nil || tgt == nil {
@@ -81,43 +95,16 @@ func (a *Agency) executeReliable(service string, plan *Plan, opts ExecOptions) (
 	ex := reliable.NewExchange(opts.Reliability)
 	wireExchangeObs(ex, opts)
 
-	frags := map[string]*core.Fragment{}
-	for _, op := range plan.Program.Ops {
-		frags[op.Out.Name] = op.Out
-		for _, p := range op.Parts {
-			frags[p.Name] = p
-		}
+	reqS := sourceRequest(progXML, opts)
+	if !opts.Delta {
+		reqS.SetAttr("chunk", strconv.Itoa(ex.ChunkSize()))
 	}
-	for _, ed := range plan.Program.Edges {
-		frags[ed.Frag.Name] = ed.Frag
-	}
-	lookup := func(name string) *core.Fragment { return frags[name] }
-
-	reqS := &xmltree.Node{Name: "ExecuteSource"}
-	reqS.SetAttr("stream", "1")
-	if opts.Codec != "" {
-		reqS.SetAttr("codec", opts.Codec)
-	}
-	if opts.Format != "" {
-		reqS.SetAttr("format", opts.Format)
-	}
-	if opts.FilterElem != "" {
-		reqS.SetAttr("filterElem", opts.FilterElem)
-		reqS.SetAttr("filterValue", opts.FilterValue)
-	}
-	if opts.Filter != "" {
-		reqS.SetAttr("filter", opts.Filter)
-	}
-	if opts.Pipelined {
-		reqS.SetAttr("pipelined", "1")
-	}
-	reqS.AddKid(progXML)
 
 	// Phase 1: source execution, retried wholesale. The source recomputes
-	// its slice on every attempt, so a fresh decoder per try keeps torn
+	// its slice on every attempt, so a fresh scan per try keeps torn
 	// partial shipments out of the result.
+	var scan *sourceRespScan
 	var inbound map[string]*core.Instance
-	var sourceMillis, answeredCodec string
 	cs := ex.Client(src.URL)
 	advertise(cs, codec)
 	srcSpan := trace.Child("source")
@@ -125,28 +112,38 @@ func (a *Agency) executeReliable(service string, plan *Plan, opts ExecOptions) (
 		at := srcSpan.Child("attempt")
 		at.Set("try", strconv.Itoa(try))
 		defer at.End()
-		dec := wire.NewShipmentDecoder(sch, lookup)
-		dec.Workers = opts.ParallelChunks
-		dec.Met = opts.Metrics
-		scanS := &sourceRespScan{dec: dec}
+		scanS := &sourceRespScan{}
+		if opts.Delta {
+			scanS.dec = wire.NewShipmentDecoder(sch, fragLookup(plan.Program))
+			scanS.dec.Workers = opts.ParallelChunks
+			scanS.dec.Met = opts.Metrics
+		}
 		if err := cs.CallStream("ExecuteSource", func(w io.Writer) error {
 			return xmltree.Write(w, reqS, xmltree.WriteOptions{EmitAllIDs: true})
 		}, scanS); err != nil {
 			at.Set("err", err.Error())
 			return err
 		}
-		if !scanS.sawShipment {
-			at.Set("err", "no shipment")
-			return reliable.Permanent(fmt.Errorf("registry: source returned no shipment"))
+		// The response scan completed, so a missing part is a protocol
+		// defect, not a torn stream; retrying would repeat it.
+		var err error
+		switch {
+		case !scanS.sawShipment:
+			err = fmt.Errorf("registry: source returned no shipment")
+		case opts.Delta:
+			inbound, err = scanS.dec.Result()
+		case !scanS.sawTiming:
+			err = fmt.Errorf("registry: source response lacks its timing trailer")
+		default:
+			if report.PayloadBytes, err = strconv.ParseInt(scanS.payloadBytes, 10, 64); err != nil {
+				err = fmt.Errorf("registry: source timing trailer has bad payloadBytes %q", scanS.payloadBytes)
+			}
 		}
-		m, err := dec.Result()
 		if err != nil {
-			// The response scan completed, so this is a protocol defect,
-			// not a torn stream; retrying would repeat it.
 			at.Set("err", err.Error())
 			return reliable.Permanent(err)
 		}
-		inbound, sourceMillis, answeredCodec = m, scanS.queryMillis, scanS.codec
+		scan = scanS
 		return nil
 	})
 	srcSpan.End()
@@ -154,23 +151,25 @@ func (a *Agency) executeReliable(service string, plan *Plan, opts ExecOptions) (
 		report.Retries = ex.Retries()
 		return report, fmt.Errorf("registry: source execution: %w", err)
 	}
-	if answeredCodec != "" {
-		report.Codec = answeredCodec
+	if scan.codec != "" {
+		report.Codec = scan.codec
 	}
-	report.SourceTime = parseMillis(sourceMillis)
-	report.PayloadBytes = wire.ShipmentBytes(inbound)
+	report.SourceTime = parseMillis(scan.queryMillis)
+	if opts.Delta {
+		report.PayloadBytes = wire.ShipmentBytes(inbound)
+	}
 
-	// Phase 2: resumable target delivery. The shipment is rechunked at the
-	// configured granularity; each redelivery first asks the target which
-	// chunk it acked last and resumes emission there. ShipBytes counts the
-	// actual wire bytes across all attempts — retransmission is a real
-	// communication cost.
+	// Phase 2: resumable target delivery. Each redelivery first asks the
+	// target which chunk it acked last and resumes emission there.
+	// ShipBytes counts the actual wire bytes across all attempts —
+	// retransmission is a real communication cost.
 	ct := ex.Client(tgt.URL)
 	stream, epoch := service, deltaEpoch(src, tgt)
 
-	// deliver drives one resumable session carrying the given record and
-	// tombstone chunks; the delta and full re-ship paths share it.
-	deliver := func(sessionID string, chunks []reliable.Chunk, tombs []tombChunk, delta bool) (*xmltree.Node, error) {
+	// deliver drives one resumable session of chunks sequenced 0..n-1;
+	// ship writes the <shipment> element from chunk next on. The relay and
+	// the rendered delta and re-ship deliveries share it.
+	deliver := func(sessionID string, n int, delta bool, ship func(w io.Writer, next int64) error) (*xmltree.Node, error) {
 		open := `<ExecuteTarget session="` + sessionID + `"`
 		if opts.Pipelined {
 			open += ` pipelined="1"`
@@ -189,7 +188,7 @@ func (a *Agency) executeReliable(service string, plan *Plan, opts ExecOptions) (
 		delSpan := trace.Child("deliver")
 		defer delSpan.End()
 		delSpan.Set("session", sessionID)
-		delSpan.Set("chunks", strconv.Itoa(len(chunks)+len(tombs)))
+		delSpan.Set("chunks", strconv.Itoa(n))
 		if delta {
 			delSpan.Set("delta", "1")
 		}
@@ -224,29 +223,7 @@ func (a *Agency) executeReliable(service string, plan *Plan, opts ExecOptions) (
 					report.WireBytes += m.Bytes()
 					report.ShipBytes = report.WireBytes
 				}()
-				sw := wire.NewShipmentWriterCodec(m, sch, codec)
-				sw.SetWorkers(opts.ParallelChunks)
-				sw.SetObs(opts.Metrics)
-				sw.SetDelta(delta)
-				for _, c := range chunks {
-					if c.Seq < next {
-						continue // acked on a prior attempt
-					}
-					if err := sw.EmitChunk(c.Key, c.Frag, c.Recs, c.Seq); err != nil {
-						sw.Close()
-						return err
-					}
-				}
-				for _, tc := range tombs {
-					if tc.seq < next {
-						continue
-					}
-					if err := sw.EmitTombstones(tc.key, tc.ids, tc.seq); err != nil {
-						sw.Close()
-						return err
-					}
-				}
-				if err := sw.Close(); err != nil {
+				if err := ship(m, next); err != nil {
 					return err
 				}
 				_, err := io.WriteString(w, `</ExecuteTarget>`)
@@ -280,7 +257,38 @@ func (a *Agency) executeReliable(service string, plan *Plan, opts ExecOptions) (
 		return respT, nil
 	}
 
+	// render delivers record and tombstone chunks the agency encodes
+	// itself, in the requested codec: a delta, or a delta exchange's full
+	// re-ship.
+	render := func(chunks []reliable.Chunk, tombs []tombChunk, delta bool) (*xmltree.Node, error) {
+		return deliver(ex.SessionID(), len(chunks)+len(tombs), delta, func(w io.Writer, next int64) error {
+			sw := wire.NewShipmentWriterCodec(w, sch, codec)
+			sw.SetWorkers(opts.ParallelChunks)
+			sw.SetObs(opts.Metrics)
+			sw.SetDelta(delta)
+			for _, c := range chunks {
+				if c.Seq < next {
+					continue // acked on a prior attempt
+				}
+				if err := sw.EmitChunk(c.Key, c.Frag, c.Recs, c.Seq); err != nil {
+					sw.Close()
+					return err
+				}
+			}
+			for _, tc := range tombs {
+				if tc.seq < next {
+					continue
+				}
+				if err := sw.EmitTombstones(tc.key, tc.ids, tc.seq); err != nil {
+					sw.Close()
+					return err
+				}
+			}
+			return sw.Close()
+		})
+	}
 	fullChunks := func() []reliable.Chunk { return reliable.ChunkShipment(inbound, ex.ChunkSize()) }
+
 	var respT *xmltree.Node
 	var hashes map[string]reliable.EdgeHashes
 	hashesOK := false
@@ -290,13 +298,13 @@ func (a *Agency) executeReliable(service string, plan *Plan, opts ExecOptions) (
 	}
 	switch {
 	case !opts.Delta:
-		respT, err = deliver(ex.SessionID(), fullChunks(), nil, false)
+		respT, err = deliver(ex.SessionID(), len(scan.ends), false, scan.relay)
 	case !hashesOK:
 		// Records without IDs cannot be reconciled; this shipment shape is
 		// never delta-able, so don't bother warming the index either.
 		opts.Metrics.Counter("exchange.delta.unkeyed").Inc()
 		log.Log(obs.LevelInfo, "delta disabled: shipment carries records without IDs", "service", service)
-		respT, err = deliver(ex.SessionID(), fullChunks(), nil, false)
+		respT, err = render(fullChunks(), nil, false)
 	default:
 		base, warm := a.recon.Snapshot(stream, epoch)
 		if warm {
@@ -306,7 +314,7 @@ func (a *Agency) executeReliable(service string, plan *Plan, opts ExecOptions) (
 			// Cold on either side (first exchange, restart, or epoch
 			// change): full re-ship, then warm the index for next time.
 			opts.Metrics.Counter("exchange.delta.cold").Inc()
-			respT, err = deliver(ex.SessionID(), fullChunks(), nil, false)
+			respT, err = render(fullChunks(), nil, false)
 		} else {
 			d := reliable.DiffShipment(inbound, base)
 			chunks := reliable.ChunkShipment(d.Ship, ex.ChunkSize())
@@ -317,7 +325,7 @@ func (a *Agency) executeReliable(service string, plan *Plan, opts ExecOptions) (
 				seq++
 			}
 			report.Delta, report.DeltaRecords, report.TombstoneRecords = true, d.Records, d.Tombstones
-			respT, err = deliver(ex.SessionID(), chunks, tombs, true)
+			respT, err = render(chunks, tombs, true)
 			if err != nil && soap.IsColdDelta(err) {
 				// The target lost its base between the warm probe and the
 				// delivery (sweep or restart mid-flight). Full re-ship on a
@@ -326,7 +334,7 @@ func (a *Agency) executeReliable(service string, plan *Plan, opts ExecOptions) (
 				opts.Metrics.Counter("exchange.delta.fallbacks").Inc()
 				log.Log(obs.LevelWarn, "delta fell back to full re-ship: target base cold", "service", service)
 				report.Delta, report.DeltaRecords, report.TombstoneRecords = false, 0, 0
-				respT, err = deliver(ex.SessionID(), fullChunks(), nil, false)
+				respT, err = render(fullChunks(), nil, false)
 			} else if err == nil {
 				opts.Metrics.Counter("exchange.delta.exchanges").Inc()
 				opts.Metrics.Counter("exchange.delta.records").Add(int64(d.Records))

@@ -2,6 +2,7 @@ package registry
 
 import (
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"strconv"
@@ -48,6 +49,14 @@ func soakSeeds(t testing.TB) []int64 {
 // target's endpoint rides along so tests can inspect its session store.
 func startAuctionExchange(t testing.TB) (*Agency, *Plan, *relstore.Store, *endpoint.Endpoint, func()) {
 	t.Helper()
+	return startAuctionExchangeWith(t, nil, nil)
+}
+
+// startAuctionExchangeWith is startAuctionExchange with the source's and
+// the target's HTTP handlers passed through wrappers (nil leaves one
+// alone), for tests that tamper with or watch a hop.
+func startAuctionExchangeWith(t testing.TB, srcWrap, tgtWrap func(http.Handler) http.Handler) (*Agency, *Plan, *relstore.Store, *endpoint.Endpoint, func()) {
+	t.Helper()
 	sch := xmark.Schema()
 	doc := xmark.Generate(xmark.Config{TargetBytes: 60_000, Seed: 42})
 	sFr := core.MostFragmented(sch)
@@ -67,8 +76,15 @@ func startAuctionExchange(t testing.TB) (*Agency, *Plan, *relstore.Store, *endpo
 
 	srcEP := endpoint.New("S", &endpoint.RelBackend{Store: srcStore, Speed: 1, CanCombine: true}, nil)
 	tgtEP := endpoint.New("T", &endpoint.RelBackend{Store: tgtStore, Speed: 1, CanCombine: true}, nil)
-	srcSrv := httptest.NewServer(srcEP.Handler())
-	tgtSrv := httptest.NewServer(tgtEP.Handler())
+	srcH, tgtH := srcEP.Handler(), tgtEP.Handler()
+	if srcWrap != nil {
+		srcH = srcWrap(srcH)
+	}
+	if tgtWrap != nil {
+		tgtH = tgtWrap(tgtH)
+	}
+	srcSrv := httptest.NewServer(srcH)
+	tgtSrv := httptest.NewServer(tgtH)
 
 	ag := New()
 	if err := ag.Register("Auction", RoleSource, wsdlFor(t, sch, sFr, srcSrv.URL), srcSrv.URL); err != nil {

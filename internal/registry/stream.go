@@ -12,6 +12,7 @@ package registry
 import (
 	"fmt"
 	"io"
+	"strconv"
 
 	"xdx/internal/core"
 	"xdx/internal/netsim"
@@ -29,12 +30,20 @@ func scanAttr(attrs []xmltree.Attr, name string) string {
 	return ""
 }
 
-// sourceRespScan consumes an ExecuteSourceResponse stream: the shipment
-// subtree flows into the shipment decoder, the timing rides either on the
-// trailing <timing> element (streamed endpoint) or on the root's
+// sourceRespScan consumes an ExecuteSourceResponse stream. With a decoder
+// the shipment subtree flows into it; without one the scan relays: each
+// sequenced chunk is kept verbatim, as the scanner captured it, for the
+// agency to forward to the target byte for byte. The timing rides either
+// on the trailing <timing> element (streamed endpoint) or on the root's
 // queryMillis attribute (buffered endpoint).
 type sourceRespScan struct {
 	dec *wire.ShipmentDecoder
+
+	// Relay mode: the chunks back to back in raw, chunk i (seq i) ending
+	// at ends[i].
+	raw      []byte
+	ends     []int
+	relaying bool
 
 	depth int
 	skip  int
@@ -42,9 +51,11 @@ type sourceRespScan struct {
 	sub      bool
 	subDepth int
 
-	queryMillis string
-	sawShipment bool
-	codec       string
+	queryMillis  string
+	payloadBytes string
+	sawShipment  bool
+	sawTiming    bool
+	codec        string
 }
 
 // ObserveEnvelope implements soap.EnvelopeObserver: the response
@@ -73,12 +84,18 @@ func (s *sourceRespScan) StartElement(name string, attrs []xmltree.Attr) error {
 		switch name {
 		case "shipment":
 			s.sawShipment = true
+			if s.dec == nil {
+				s.relaying = true
+				return nil
+			}
 			s.sub, s.subDepth = true, 1
 			return s.dec.StartElement(name, attrs)
 		case "timing":
+			s.sawTiming = true
 			if v := scanAttr(attrs, "queryMillis"); v != "" {
 				s.queryMillis = v
 			}
+			s.payloadBytes = scanAttr(attrs, "payloadBytes")
 			s.depth--
 			s.skip = 1
 		default:
@@ -87,6 +104,47 @@ func (s *sourceRespScan) StartElement(name string, attrs []xmltree.Attr) error {
 		}
 	}
 	return nil
+}
+
+// RawChildren implements xmltree.RawHandler: a relayed shipment's chunks
+// arrive whole at RawElement.
+func (s *sourceRespScan) RawChildren() bool { return s.relaying }
+
+// RawElement implements xmltree.RawHandler, keeping one relayed chunk. The
+// chunks must be instances numbered 0, 1, 2, ... in wire order: a gap,
+// duplicate or reordered seq would let the target's checkpoint skip
+// records on a resume, so it fails the source call instead.
+func (s *sourceRespScan) RawElement(name string, attrs []xmltree.Attr, raw []byte) error {
+	if name != "instance" {
+		return fmt.Errorf("registry: unexpected <%s> in the source shipment", name)
+	}
+	if seq := scanAttr(attrs, "seq"); seq != strconv.Itoa(len(s.ends)) {
+		return fmt.Errorf("registry: source chunk seq %q out of order, want %d", seq, len(s.ends))
+	}
+	s.raw = append(s.raw, raw...)
+	s.ends = append(s.ends, len(s.raw))
+	return nil
+}
+
+// relay writes the relayed shipment onto w from chunk next on, framed as
+// wire.ShipmentWriter frames it: <shipment/> when no chunk is left.
+func (s *sourceRespScan) relay(w io.Writer, next int64) error {
+	if next >= int64(len(s.ends)) {
+		_, err := io.WriteString(w, "<shipment/>")
+		return err
+	}
+	start := 0
+	if next > 0 {
+		start = s.ends[next-1]
+	}
+	if _, err := io.WriteString(w, "<shipment>"); err != nil {
+		return err
+	}
+	if _, err := w.Write(s.raw[start:]); err != nil {
+		return err
+	}
+	_, err := io.WriteString(w, "</shipment>")
+	return err
 }
 
 // Text implements xmltree.AttrHandler.
@@ -119,9 +177,50 @@ func (s *sourceRespScan) EndElement(name string) error {
 		}
 		return s.dec.EndElement(name)
 	default:
+		s.relaying = false
 		s.depth--
 	}
 	return nil
+}
+
+// sourceRequest builds the streamed ExecuteSource request for a program
+// under the exchange options.
+func sourceRequest(progXML *xmltree.Node, opts ExecOptions) *xmltree.Node {
+	req := &xmltree.Node{Name: "ExecuteSource"}
+	req.SetAttr("stream", "1")
+	if opts.Codec != "" {
+		req.SetAttr("codec", opts.Codec)
+	}
+	if opts.Format != "" {
+		req.SetAttr("format", opts.Format)
+	}
+	if opts.FilterElem != "" {
+		req.SetAttr("filterElem", opts.FilterElem)
+		req.SetAttr("filterValue", opts.FilterValue)
+	}
+	if opts.Filter != "" {
+		req.SetAttr("filter", opts.Filter)
+	}
+	if opts.Pipelined {
+		req.SetAttr("pipelined", "1")
+	}
+	req.AddKid(progXML)
+	return req
+}
+
+// fragLookup resolves the fragment names a program's shipments carry.
+func fragLookup(prog *core.Graph) func(string) *core.Fragment {
+	frags := map[string]*core.Fragment{}
+	for _, op := range prog.Ops {
+		frags[op.Out.Name] = op.Out
+		for _, p := range op.Parts {
+			frags[p.Name] = p
+		}
+	}
+	for _, ed := range prog.Edges {
+		frags[ed.Frag.Name] = ed.Frag
+	}
+	return func(name string) *core.Fragment { return frags[name] }
 }
 
 // executeStreamed drives an exchange over the zero-materialization wire
@@ -148,37 +247,8 @@ func (a *Agency) executeStreamed(service string, plan *Plan, opts ExecOptions) (
 	trace := newTrace(service, "streamed")
 	report := &Report{Plan: plan, Codec: codec.String(), Trace: trace}
 
-	reqS := &xmltree.Node{Name: "ExecuteSource"}
-	reqS.SetAttr("stream", "1")
-	if opts.Codec != "" {
-		reqS.SetAttr("codec", opts.Codec)
-	}
-	if opts.Format != "" {
-		reqS.SetAttr("format", opts.Format)
-	}
-	if opts.FilterElem != "" {
-		reqS.SetAttr("filterElem", opts.FilterElem)
-		reqS.SetAttr("filterValue", opts.FilterValue)
-	}
-	if opts.Filter != "" {
-		reqS.SetAttr("filter", opts.Filter)
-	}
-	if opts.Pipelined {
-		reqS.SetAttr("pipelined", "1")
-	}
-	reqS.AddKid(progXML)
-
-	frags := map[string]*core.Fragment{}
-	for _, op := range plan.Program.Ops {
-		frags[op.Out.Name] = op.Out
-		for _, p := range op.Parts {
-			frags[p.Name] = p
-		}
-	}
-	for _, ed := range plan.Program.Edges {
-		frags[ed.Frag.Name] = ed.Frag
-	}
-	dec := wire.NewShipmentDecoder(sch, func(name string) *core.Fragment { return frags[name] })
+	reqS := sourceRequest(progXML, opts)
+	dec := wire.NewShipmentDecoder(sch, fragLookup(plan.Program))
 	dec.Workers = opts.ParallelChunks
 	dec.Met = opts.Metrics
 	scanS := &sourceRespScan{dec: dec}

@@ -372,6 +372,20 @@ func (v *envelopeScanner) TextBytes(data []byte) error {
 	return v.Text(string(data))
 }
 
+// RawChildren implements xmltree.RawHandler, passing a payload handler's
+// capture request through: a relaying caller gets the payload's elements
+// verbatim while the envelope, header and fault handling stay here.
+func (v *envelopeScanner) RawChildren() bool {
+	rh, ok := v.h.(xmltree.RawHandler)
+	return ok && v.inPayload > 0 && rh.RawChildren()
+}
+
+// RawElement implements xmltree.RawHandler; the scanner calls it only
+// after RawChildren passed the payload handler's request through.
+func (v *envelopeScanner) RawElement(name string, attrs []xmltree.Attr, raw []byte) error {
+	return payloadErr(v.h.(xmltree.RawHandler).RawElement(name, attrs, raw))
+}
+
 // EndElement implements xmltree.AttrHandler.
 func (v *envelopeScanner) EndElement(name string) error {
 	switch {
@@ -419,7 +433,10 @@ type RespondFunc func(w io.Writer) error
 // attributes, and returns a handler for the payload's parse events (the
 // root's own start/end included) plus the responder that runs once the
 // request is fully consumed. Returning an error — here or from the event
-// handler — produces a SOAP fault.
+// handler — produces a SOAP fault. An event handler that implements
+// io.Closer is closed as soon as the server stops reading the request —
+// after a complete scan, before the responder runs, or when the scan
+// fails part way — so it can release what it holds for the request.
 type StreamHandlerFunc func(env Header, attrs []xmltree.Attr) (xmltree.AttrHandler, RespondFunc, error)
 
 // HandleStream registers a streaming handler for requests whose body root
@@ -754,7 +771,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			}
 		}()
 	}
-	if err := xmltree.ScanAttrs(body, walk); err != nil {
+	err := xmltree.ScanAttrs(body, walk)
+	if c, ok := walk.delegate.(io.Closer); ok {
+		c.Close()
+	}
+	if err != nil {
 		var rf *reqFault
 		var he *handlerError
 		switch {

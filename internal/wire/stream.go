@@ -28,7 +28,6 @@ import (
 
 	"xdx/internal/bufpool"
 	"xdx/internal/core"
-	"xdx/internal/netsim"
 	"xdx/internal/obs"
 	"xdx/internal/schema"
 	"xdx/internal/xmltree"
@@ -58,6 +57,9 @@ type ShipmentWriter struct {
 	firstErr   error         // first failed chunk; sticky
 	met        *obs.Registry
 	delta      bool
+	chunk      int   // SetChunkSize; 0 leaves Emit's batches whole and unsequenced
+	nextSeq    int64 // next auto-assigned chunk seq
+	payload    int64 // tagged-XML size of the records emitted so far
 }
 
 // SetDelta marks the shipment as a delta: the open tag carries delta="1",
@@ -91,23 +93,62 @@ func NewShipmentWriterCodec(w io.Writer, sch *schema.Schema, codec Codec) *Shipm
 	return &ShipmentWriter{bw: bufpool.Writer(w), sch: sch, codec: codec}
 }
 
-// Emit writes one instance chunk carrying recs for the cross-edge key. It
-// is the sink ExecuteSlicePipelined's SliceIO.Emit plugs into, so records
-// flow onto the wire as stages produce them.
+// SetChunkSize sequences the shipment: each Emit is cut into chunks of at
+// most n records, numbered from 0 in wire order. Fed by EmitShipment, the
+// chunks and seqs are exactly reliable.ChunkShipment's; fed by a pipelined
+// slice, they follow emit order. Must be called before the first Emit.
+func (sw *ShipmentWriter) SetChunkSize(n int) {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	if !sw.opened {
+		sw.chunk = n
+	}
+}
+
+// PayloadBytes reports the records emitted so far measured in the
+// tagged-XML tree codec, whatever the writer's codec — the size
+// Report.PayloadBytes carries. It is counted as chunks render, and is
+// complete once Close returns.
+func (sw *ShipmentWriter) PayloadBytes() int64 {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	return sw.payload
+}
+
+// Emit writes recs for the cross-edge key: one unsequenced instance chunk,
+// or under SetChunkSize as many sequenced chunks as the size needs (one
+// for an empty batch). It is the sink ExecuteSlicePipelined's
+// SliceIO.Emit plugs into, so records flow onto the wire as stages
+// produce them.
 func (sw *ShipmentWriter) Emit(key string, frag *core.Fragment, recs []*xmltree.Node) error {
-	return sw.emit(key, frag, recs, -1)
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	if sw.chunk <= 0 {
+		return sw.emitLocked(key, frag, recs, -1)
+	}
+	for {
+		n := min(len(recs), sw.chunk)
+		if err := sw.emitLocked(key, frag, recs[:n], sw.nextSeq); err != nil {
+			return err
+		}
+		sw.nextSeq++
+		if recs = recs[n:]; len(recs) == 0 {
+			return nil
+		}
+	}
 }
 
 // EmitChunk writes one sequenced instance chunk — the resumable unit of a
 // shipment session. The seq attribute rides on the chunk so the target's
 // idempotency ledger can checkpoint and skip replays (internal/reliable).
 func (sw *ShipmentWriter) EmitChunk(key string, frag *core.Fragment, recs []*xmltree.Node, seq int64) error {
-	return sw.emit(key, frag, recs, seq)
-}
-
-func (sw *ShipmentWriter) emit(key string, frag *core.Fragment, recs []*xmltree.Node, seq int64) error {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
+	return sw.emitLocked(key, frag, recs, seq)
+}
+
+// emitLocked writes one chunk. Caller holds sw.mu.
+func (sw *ShipmentWriter) emitLocked(key string, frag *core.Fragment, recs []*xmltree.Node, seq int64) error {
 	if sw.closed {
 		return fmt.Errorf("wire: emit on closed shipment writer")
 	}
@@ -119,7 +160,9 @@ func (sw *ShipmentWriter) emit(key string, frag *core.Fragment, recs []*xmltree.
 	if workers > 1 {
 		return sw.emitParallel(key, frag, recs, seq)
 	}
-	return renderChunk(sw.bw, sw.sch, sw.codec, key, frag, recs, seq)
+	payload, err := renderChunk(sw.bw, sw.sch, sw.codec, key, frag, recs, seq)
+	sw.payload += payload
+	return err
 }
 
 // openLocked writes the shipment open tag once. Caller holds sw.mu.
@@ -169,16 +212,17 @@ func (sw *ShipmentWriter) EmitTombstones(key string, ids []string, seq int64) er
 	return nil
 }
 
-// renderChunk writes the complete wire bytes of one instance chunk. It is
-// the single chunk serializer — the serial path points it at the shipment
-// writer, the parallel workers at private pooled buffers — which is what
-// makes the two paths byte-identical by construction.
-func renderChunk(bw *bufio.Writer, sch *schema.Schema, codec Codec, key string, frag *core.Fragment, recs []*xmltree.Node, seq int64) error {
+// renderChunk writes the complete wire bytes of one instance chunk and
+// returns the records' tagged-XML size. It is the single chunk serializer
+// — the serial path points it at the shipment writer, the parallel workers
+// at private pooled buffers — which is what makes the two paths
+// byte-identical by construction.
+func renderChunk(bw *bufio.Writer, sch *schema.Schema, codec Codec, key string, frag *core.Fragment, recs []*xmltree.Node, seq int64) (int64, error) {
 	switch {
 	case codec.Kind == CodecBin:
-		return renderBinChunk(bw, sch, codec, key, frag, recs, seq)
+		return RecordBytes(recs), renderBinChunk(bw, sch, codec, key, frag, recs, seq)
 	case codec.Kind == CodecFeed && checkFlat(sch, frag) == nil:
-		return renderFeedChunk(bw, sch, key, frag, recs, seq)
+		return RecordBytes(recs), renderFeedChunk(bw, sch, key, frag, recs, seq)
 	}
 	bw.WriteString(`<instance edge="`)
 	xmltree.Escape(bw, key)
@@ -187,14 +231,15 @@ func renderChunk(bw *bufio.Writer, sch *schema.Schema, codec Codec, key string, 
 	writeSeqAttr(bw, seq)
 	if len(recs) == 0 {
 		bw.WriteString(`"/>`)
-		return nil
+		return 0, nil
 	}
 	bw.WriteString(`">`)
+	var payload int64
 	for _, rec := range recs {
-		streamRecord(bw, rec, true)
+		payload += streamRecord(bw, rec, true)
 	}
 	bw.WriteString("</instance>")
-	return nil
+	return payload, nil
 }
 
 // writeSeqAttr appends the seq attribute (continuing an open attribute
@@ -285,42 +330,71 @@ func (sw *ShipmentWriter) Close() error {
 // the bytes the tree codec emits for stripIDs(rec) under EmitAllIDs —
 // record roots carry ID and PARENT (Definition 3.1), interior or
 // potentially-joinable empty elements keep only ID, leaf values travel
-// bare — without ever cloning the record.
-func streamRecord(w *bufio.Writer, n *xmltree.Node, isRoot bool) {
+// bare — without ever cloning the record. It returns the bytes written.
+func streamRecord(w *bufio.Writer, n *xmltree.Node, isRoot bool) int64 {
 	w.WriteByte('<')
 	w.WriteString(n.Name)
+	size := len("<") + len(n.Name)
 	interior := len(n.Kids) > 0 || n.Text == ""
 	if (isRoot || interior) && n.ID != "" {
 		w.WriteString(` ID="`)
-		xmltree.Escape(w, n.ID)
+		size += len(` ID=""`) + xmltree.Escape(w, n.ID)
 		w.WriteByte('"')
 	}
 	if isRoot && n.Parent != "" {
 		w.WriteString(` PARENT="`)
-		xmltree.Escape(w, n.Parent)
+		size += len(` PARENT=""`) + xmltree.Escape(w, n.Parent)
 		w.WriteByte('"')
 	}
 	for _, a := range n.Attrs {
 		w.WriteByte(' ')
 		w.WriteString(a.Name)
 		w.WriteString(`="`)
-		xmltree.Escape(w, a.Value)
+		size += len(` =""`) + len(a.Name) + xmltree.Escape(w, a.Value)
 		w.WriteByte('"')
 	}
 	if len(n.Kids) == 0 && n.Text == "" {
 		w.WriteString("/>")
-		return
+		return int64(size + len("/>"))
 	}
 	w.WriteByte('>')
+	size += len(">")
 	if n.Text != "" {
-		xmltree.Escape(w, n.Text)
+		size += xmltree.Escape(w, n.Text)
 	}
+	total := int64(size)
 	for _, k := range n.Kids {
-		streamRecord(w, k, false)
+		total += streamRecord(w, k, false)
 	}
 	w.WriteString("</")
 	w.WriteString(n.Name)
 	w.WriteByte('>')
+	return total + int64(len("</>")+len(n.Name))
+}
+
+// recordSize is the byte count streamRecord writes for n, computed
+// without writing anything: the payload size of records that travel in
+// another codec.
+func recordSize(n *xmltree.Node, isRoot bool) int64 {
+	size := int64(len("<") + len(n.Name))
+	interior := len(n.Kids) > 0 || n.Text == ""
+	if (isRoot || interior) && n.ID != "" {
+		size += int64(len(` ID=""`) + xmltree.EscapedLen(n.ID))
+	}
+	if isRoot && n.Parent != "" {
+		size += int64(len(` PARENT=""`) + xmltree.EscapedLen(n.Parent))
+	}
+	for _, a := range n.Attrs {
+		size += int64(len(` =""`) + len(a.Name) + xmltree.EscapedLen(a.Value))
+	}
+	if len(n.Kids) == 0 && n.Text == "" {
+		return size + int64(len("/>"))
+	}
+	size += int64(len(">") + xmltree.EscapedLen(n.Text))
+	for _, k := range n.Kids {
+		size += recordSize(k, false)
+	}
+	return size + int64(len("</>")+len(n.Name))
 }
 
 // StreamShipment encodes cross-edge instances directly to w — no record
@@ -849,19 +923,12 @@ func ReadShipment(r io.Reader, sch *schema.Schema, lookup func(name string) *cor
 	return d.Result()
 }
 
-// ShipmentBytes serializes a shipment's records through a counting writer
-// and reports the size the communication cost is charged on. Pure
-// accounting: no record clones, no buffering — the streaming encoder runs
-// over a meter that discards the bytes.
+// ShipmentBytes reports the size the communication cost is charged on: a
+// shipment's records measured in the tagged-XML tree codec.
 func ShipmentBytes(out map[string]*core.Instance) int64 {
-	m := netsim.NewMeter(nil)
-	bw := bufpool.Writer(m)
+	var n int64
 	for _, in := range out {
-		for _, rec := range in.Records {
-			streamRecord(bw, rec, true)
-		}
+		n += RecordBytes(in.Records)
 	}
-	bw.Flush()
-	bufpool.PutWriter(bw)
-	return m.Bytes()
+	return n
 }

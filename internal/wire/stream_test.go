@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -656,5 +657,74 @@ func TestDecoderConcurrentAttemptsExactlyOnce(t *testing.T) {
 	}
 	if total != chunks {
 		t.Fatalf("records = %d, want exactly %d", total, chunks)
+	}
+}
+
+// TestShipmentWriterChunkSize holds a chunk-sized writer fed by
+// EmitShipment to reliable.ChunkShipment's chunks and seqs, byte for byte,
+// in every codec and for serial and parallel rendering, and its
+// PayloadBytes to ShipmentBytes and to the rendered size of the records.
+func TestShipmentWriterChunkSize(t *testing.T) {
+	sch := schema.CustomerInfo()
+	f, err := core.NewFragment(sch, "ord", []string{"Order", "Service", "ServiceName"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	for iter := 0; iter < 60; iter++ {
+		out := map[string]*core.Instance{}
+		for i, n := 0, 1+rng.Intn(3); i < n; i++ {
+			in := randomInstance(rng, f)
+			in.Records = append(in.Records, randomInstance(rng, f).Records...)
+			out[fmt.Sprintf(`%d:or"d<%d>`, i, rng.Intn(10))] = in
+		}
+		var rendered bytes.Buffer
+		bw := bufio.NewWriter(&rendered)
+		for _, in := range out {
+			for _, rec := range in.Records {
+				streamRecord(bw, rec, true)
+			}
+		}
+		bw.Flush()
+		if got := ShipmentBytes(out); got != int64(rendered.Len()) {
+			t.Fatalf("iter %d: ShipmentBytes = %d, rendered records are %d bytes", iter, got, rendered.Len())
+		}
+		size := 1 + rng.Intn(3)
+		for _, name := range []string{"xml", "feed", "bin", "bin+flate"} {
+			codec, err := ParseCodec(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want bytes.Buffer
+			ref := NewShipmentWriterCodec(&want, sch, codec)
+			ref.SetWorkers(1)
+			for _, c := range reliable.ChunkShipment(out, size) {
+				if err := ref.EmitChunk(c.Key, c.Frag, c.Recs, c.Seq); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := ref.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 4} {
+				var got bytes.Buffer
+				sw := NewShipmentWriterCodec(&got, sch, codec)
+				sw.SetWorkers(workers)
+				sw.SetChunkSize(size)
+				if err := EmitShipment(sw, out); err != nil {
+					t.Fatal(err)
+				}
+				if err := sw.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if got.String() != want.String() {
+					t.Fatalf("iter %d %s workers=%d: chunked writer diverged from ChunkShipment:\n%s\nvs\n%s",
+						iter, name, workers, got.String(), want.String())
+				}
+				if p := sw.PayloadBytes(); p != int64(rendered.Len()) {
+					t.Fatalf("iter %d %s workers=%d: PayloadBytes = %d, want %d", iter, name, workers, p, rendered.Len())
+				}
+			}
+		}
 	}
 }

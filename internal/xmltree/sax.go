@@ -76,6 +76,24 @@ type TextBytesHandler interface {
 	TextBytes(data []byte) error
 }
 
+// RawHandler is an optional extension of AttrHandler for consumers that
+// relay elements verbatim instead of decoding them (the agency forwarding
+// a source's shipment chunks to the target). After each StartElement the
+// scanner asks RawChildren; when the answer is true, every child element
+// of the element just opened arrives whole at RawElement instead of as
+// StartElement, Text and EndElement events: the child's name and start-tag
+// attributes, and raw, its exact bytes from the '<' of the start tag
+// through the '>' of the matching end tag. Inside a captured element the
+// scanner only matches tag names down to the end tag — it decodes no
+// attributes, entities or text, so the consumer that finally decodes the
+// bytes still validates them — but it rejects mismatched end tags and input
+// that stops before the element closes. attrs and raw alias the scanner's
+// buffers and are valid only for the duration of the call.
+type RawHandler interface {
+	RawChildren() bool
+	RawElement(name string, attrs []Attr, raw []byte) error
+}
+
 // ScanAttrs streams XML from r into h, like Scan but delivering the full
 // attribute list of every element. It is single-pass and keeps no tree in
 // memory; it is what the zero-materialization wire path parses shipments

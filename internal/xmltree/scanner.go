@@ -25,6 +25,12 @@ type attrScanner struct {
 	text  []byte // raw accumulation of the pending character data
 	dec   []byte // entity-decoding scratch
 	depth int
+
+	// Raw capture (capture.go): rawDepth is the depth of the element whose
+	// children are captured, 0 when none.
+	rh       RawHandler
+	rawDepth int
+	capt     capture
 }
 
 var errUnterminated = fmt.Errorf("xmltree: scan: unterminated document")
@@ -39,6 +45,7 @@ func scanStream(r io.Reader, h AttrHandler) error {
 		names: make(map[string]string, 32),
 	}
 	s.tb, _ = h.(TextBytesHandler)
+	s.rh, _ = h.(RawHandler)
 	for {
 		err := s.scanText()
 		if err == io.EOF {
@@ -289,37 +296,56 @@ func (s *attrScanner) skipSpace() (byte, error) {
 }
 
 // scanStartTag parses an open (or self-closing) tag; the leading '<' is
-// already consumed.
+// already consumed. A child of a capturing element goes to captureElement
+// instead.
 func (s *attrScanner) scanStartTag() error {
-	nameB, err := s.readName()
+	if s.rawDepth > 0 && s.depth == s.rawDepth {
+		return s.captureElement()
+	}
+	name, selfClose, err := s.parseStartTag()
 	if err != nil {
 		return err
 	}
-	name := s.intern(localPart(nameB))
+	s.depth++
+	if err := s.h.StartElement(name, s.attrs); err != nil {
+		return err
+	}
+	if selfClose {
+		s.depth--
+		return s.h.EndElement(name)
+	}
+	if s.rh != nil && s.rh.RawChildren() {
+		s.rawDepth = s.depth
+	}
+	return nil
+}
+
+// parseStartTag reads a start tag's name, and its attributes into
+// s.attrs, through the closing '>' or "/>".
+func (s *attrScanner) parseStartTag() (name string, selfClose bool, err error) {
+	nameB, err := s.readName()
+	if err != nil {
+		return "", false, err
+	}
+	name = s.intern(localPart(nameB))
 	s.attrs = s.attrs[:0]
 	for {
 		c, err := s.skipSpace()
 		if err != nil {
-			return err
+			return "", false, err
 		}
 		switch c {
 		case '>':
-			s.depth++
-			return s.h.StartElement(name, s.attrs)
+			return name, false, nil
 		case '/':
 			if c, err = s.br.ReadByte(); err != nil || c != '>' {
-				return errUnterminated
+				return "", false, errUnterminated
 			}
-			s.depth++
-			if err := s.h.StartElement(name, s.attrs); err != nil {
-				return err
-			}
-			s.depth--
-			return s.h.EndElement(name)
+			return name, true, nil
 		default:
 			s.br.UnreadByte()
 			if err := s.scanAttr(); err != nil {
-				return err
+				return "", false, err
 			}
 		}
 	}
@@ -412,6 +438,9 @@ func (s *attrScanner) scanEndTag() error {
 	s.depth--
 	if s.depth < 0 {
 		return fmt.Errorf("xmltree: scan: unexpected end tag </%s>", name)
+	}
+	if s.depth < s.rawDepth {
+		s.rawDepth = 0
 	}
 	return s.h.EndElement(name)
 }

@@ -202,33 +202,59 @@ func escapeIndex(s string) int {
 	return first
 }
 
-func escapeTo(w *bufio.Writer, s string) {
+// escapeTo writes s escaped and returns the number of bytes written.
+func escapeTo(w *bufio.Writer, s string) int {
+	n := len(s)
 	for len(s) > 0 {
 		i := escapeIndex(s)
 		if i < 0 {
 			w.WriteString(s)
-			return
+			return n
 		}
 		w.WriteString(s[:i])
+		var ent string
 		switch s[i] {
 		case '<':
-			w.WriteString("&lt;")
+			ent = "&lt;"
 		case '>':
-			w.WriteString("&gt;")
+			ent = "&gt;"
 		case '&':
-			w.WriteString("&amp;")
+			ent = "&amp;"
 		case '"':
-			w.WriteString("&quot;")
+			ent = "&quot;"
+		}
+		w.WriteString(ent)
+		n += len(ent) - 1
+		s = s[i+1:]
+	}
+	return n
+}
+
+// Escape writes s with XML content escaping ('<', '>', '&', '"'), bulk
+// writing runs with no escapable bytes, and returns the number of bytes
+// written. It is the serializer's escaper, exported for codecs (the wire
+// layer) that produce XML without building a Node tree first.
+func Escape(w *bufio.Writer, s string) int { return escapeTo(w, s) }
+
+// EscapedLen returns the number of bytes Escape writes for s.
+func EscapedLen(s string) int {
+	n := len(s)
+	for {
+		i := escapeIndex(s)
+		if i < 0 {
+			return n
+		}
+		switch s[i] {
+		case '<', '>':
+			n += len("&lt;") - 1
+		case '&':
+			n += len("&amp;") - 1
+		case '"':
+			n += len("&quot;") - 1
 		}
 		s = s[i+1:]
 	}
 }
-
-// Escape writes s with XML content escaping ('<', '>', '&', '"'), bulk
-// writing runs with no escapable bytes. It is the serializer's escaper,
-// exported for codecs (the wire layer) that produce XML without building a
-// Node tree first.
-func Escape(w *bufio.Writer, s string) { escapeTo(w, s) }
 
 // Marshal serializes the subtree to a string, for tests and small payloads.
 func Marshal(n *Node, opts WriteOptions) string {

@@ -10,7 +10,9 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-SNAP="${1:-BENCH_5.json}"
+# The baseline defaults to the newest committed snapshot, picked the way
+# bench_delta.sh picks its pair.
+SNAP="${1:-BENCH_$(ls BENCH_*.json 2>/dev/null | sed -n 's/^BENCH_\([0-9]*\)\.json$/\1/p' | sort -n | tail -1).json}"
 BASE="$(awk -F'"allocs_per_op": ' '/Figure9_EndToEnd/ { sub(/[,}].*/, "", $2); print $2 }' "$SNAP")"
 [ -n "$BASE" ] || { echo "alloc_smoke: no Figure9_EndToEnd allocs_per_op in $SNAP" >&2; exit 1; }
 

@@ -8,8 +8,13 @@ set -eux
 cd "$(dirname "$0")/.."
 
 go vet ./...
+test -z "$(gofmt -l .)"
 go build ./...
 go test -race ./...
+
+# The exchange benchmark is its own module (exbench/), so `go test ./...`
+# above does not reach its tests.
+go -C exbench test ./...
 
 # Benchmark smoke: 100 fixed iterations so broken benchmarks fail the gate
 # without turning it into a performance run.
