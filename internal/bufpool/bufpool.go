@@ -61,6 +61,31 @@ func PutBuffer(b *bytes.Buffer) {
 	buffers.Put(b)
 }
 
+// Relay buffers hold a whole shipment between the agency's two hops. They
+// are pooled apart from the chunk scratch buffers: sharing one pool, a
+// chunk render would take (and pin) a shipment-sized buffer while the
+// relay regrew a chunk-sized one, leaving several shipment-sized buffers
+// parked in the pool.
+var relayBuffers = sync.Pool{
+	New: func() any { return new(bytes.Buffer) },
+}
+
+// RelayBuffer returns an empty pooled shipment-sized buffer.
+func RelayBuffer() *bytes.Buffer {
+	b := relayBuffers.Get().(*bytes.Buffer)
+	b.Reset()
+	return b
+}
+
+// PutRelayBuffer returns a relay buffer to the pool, dropping oversized
+// ones like PutBuffer.
+func PutRelayBuffer(b *bytes.Buffer) {
+	if b.Cap() > maxRetainedBuffer {
+		return
+	}
+	relayBuffers.Put(b)
+}
+
 // Binary chunks compress independently (the framing restarts at chunk
 // boundaries so torn-chunk recovery keeps working), which means one flate
 // stream per chunk — pooled, because flate.Writer alone is ~600 KiB of

@@ -217,6 +217,12 @@ type Endpoint struct {
 	deltaMu    sync.Mutex
 	deltaBases map[string]*deltaBase
 	deltaOff   bool
+
+	// recon holds, per delta stream this endpoint serves as a source, the
+	// record hashes of the snapshots it shipped — the bases its next
+	// delta-enabled ExecuteSource diffs against. Memory-only, like
+	// deltaBases: a restarted source answers its first delta in full.
+	recon *reliable.SourceRecon
 }
 
 // deltaBase is one stream's retained snapshot: the instance map of the
@@ -243,7 +249,8 @@ func New(name string, be Backend, defs *wsdlx.Definitions) *Endpoint {
 		codecs:     wire.Codecs(),
 		log:        obs.Nop,
 		calCache:   map[string]*shipCalibration{},
-		deltaBases: map[string]*deltaBase{}}
+		deltaBases: map[string]*deltaBase{},
+		recon:      reliable.NewSourceRecon()}
 	e.srv.Handle("GetWSDL", e.getWSDL)
 	e.srv.Handle("ProbeStats", e.probeStats)
 	e.srv.Handle("ProbeCost", e.probeCost)

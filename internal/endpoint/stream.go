@@ -17,11 +17,14 @@ package endpoint
 import (
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"xdx/internal/core"
 	"xdx/internal/obs"
+	"xdx/internal/reliable"
 	"xdx/internal/soap"
 	"xdx/internal/wire"
 	"xdx/internal/xmltree"
@@ -82,7 +85,9 @@ func stampCodec(w io.Writer, c wire.Codec) {
 // response root's attributes; they follow the shipment as a trailing
 // <timing> element. A chunk="N" attribute asks for a sequenced shipment of
 // chunks of at most N records — the resumable units of the agency's target
-// session, which the agency then relays verbatim.
+// session, which the agency then relays verbatim. A delta-enabled request
+// (see sourceDeltaFor) is reconciled here, so the shipment carries only
+// what changed since the base the agency named.
 func (e *Endpoint) respondSourceStream(env soap.Header, req *xmltree.Node, w io.Writer) error {
 	g, a, err := decodeProgramChild(req, e.backend.Layout())
 	if err != nil {
@@ -105,6 +110,10 @@ func (e *Endpoint) respondSourceStream(env soap.Header, req *xmltree.Node, w io.
 			return &soap.Fault{Code: "soap:Client", String: fmt.Sprintf("bad chunk size %q", v)}
 		}
 	}
+	sd, err := e.sourceDeltaFor(req, chunk)
+	if err != nil {
+		return err
+	}
 	sch := e.backend.Layout().Schema
 	start := time.Now()
 	if _, err := io.WriteString(w, "<ExecuteSourceResponse>"); err != nil {
@@ -116,16 +125,27 @@ func (e *Endpoint) respondSourceStream(env soap.Header, req *xmltree.Node, w io.
 	sw.SetChunkSize(chunk)
 	if v, ok := req.Attr("pipelined"); ok && attrTrue(v) {
 		// Producers emit straight onto the wire as they finish batches.
+		emit := sw.Emit
+		if sd != nil {
+			sw.SetDelta(sd.delta)
+			emit = sd.filter(sw.Emit)
+		}
 		_, _, err = core.ExecuteSlicePipelined(g, sch, a, core.LocSource, core.SliceIO{
 			Scan: scan,
-			Emit: sw.Emit,
+			Emit: emit,
 		})
 	} else {
 		var outbound map[string]*core.Instance
 		outbound, _, err = core.ExecuteSlice(g, sch, a, core.LocSource, core.SliceIO{Scan: scan})
+		if err == nil && sd != nil {
+			outbound = sd.reconcile(sw, outbound)
+		}
 		if err == nil {
 			err = wire.EmitShipment(sw, outbound)
 		}
+	}
+	if err == nil && sd != nil {
+		err = sd.emitTombstones(sw)
 	}
 	if err != nil {
 		sw.Close()
@@ -137,12 +157,139 @@ func (e *Endpoint) respondSourceStream(env soap.Header, req *xmltree.Node, w io.
 	elapsed := time.Since(start)
 	e.met.Counter("endpoint.source.executes").Inc()
 	e.met.Histogram("endpoint.source.millis").Observe(float64(elapsed) / float64(time.Millisecond))
-	if _, err := fmt.Fprintf(w, `<timing queryMillis="%s" payloadBytes="%d"/>`, formatMillis(elapsed), sw.PayloadBytes()); err != nil {
+	if _, err := fmt.Fprintf(w, `<timing queryMillis="%s" payloadBytes="%d"`, formatMillis(elapsed), sw.PayloadBytes()); err != nil {
 		return err
 	}
-	_, err = io.WriteString(w, "</ExecuteSourceResponse>")
+	if sd != nil {
+		if err := sd.commit(e, w); err != nil {
+			return err
+		}
+	}
+	_, err = io.WriteString(w, "/></ExecuteSourceResponse>")
 	return err
 }
+
+// sourceDelta is the source half of a delta-enabled ExecuteSource. The
+// request names the exchange stream (deltaStream — the plain stream
+// attribute already selects the streamed response), the fragmentation
+// epoch, the session (the token the shipped snapshot goes by) and, when
+// the target holds one, the base token it last acked. Each record of the
+// fresh slice output is hashed once; when this endpoint holds the base
+// generation the shipment is a delta against it, otherwise it ships in
+// full — always correct, and what a restarted source or agency, or an
+// epoch change, gets.
+type sourceDelta struct {
+	stream, epoch, session, base string
+
+	df    *reliable.Differ
+	delta bool
+	tombs int
+}
+
+// sourceDeltaFor reads a request's delta attributes, nil when it has none.
+// A delta needs a sequenced shipment: its tombstone chunks are
+// checkpointed by seq like any chunk.
+func (e *Endpoint) sourceDeltaFor(req *xmltree.Node, chunk int) (*sourceDelta, error) {
+	stream, _ := req.Attr("deltaStream")
+	if stream == "" {
+		return nil, nil
+	}
+	sd := &sourceDelta{stream: stream}
+	sd.epoch, _ = req.Attr("epoch")
+	sd.session, _ = req.Attr("session")
+	sd.base, _ = req.Attr("base")
+	if sd.session == "" || chunk == 0 {
+		return nil, &soap.Fault{Code: "soap:Client", String: "delta stream " + stream + " needs a session and a chunk size"}
+	}
+	baseHashes, warm := e.recon.Base(stream, sd.epoch, sd.base)
+	sd.df = reliable.NewDiffer(baseHashes)
+	sd.delta = warm
+	if sd.base != "" && !warm {
+		e.met.Counter("endpoint.source.delta.cold").Inc()
+	}
+	return sd, nil
+}
+
+// filter wraps a pipelined slice's emit sink: each batch is hashed and
+// only its added or changed records pass. A batch left empty is dropped
+// unless it is its edge's first — every edge of the fresh output must
+// still announce itself, or the target would drop it.
+func (sd *sourceDelta) filter(emit func(string, *core.Fragment, []*xmltree.Node) error) func(string, *core.Fragment, []*xmltree.Node) error {
+	return func(key string, frag *core.Fragment, recs []*xmltree.Node) error {
+		ship, first := sd.df.Filter(key, recs)
+		if len(ship) == 0 && !first && sd.delta {
+			return nil
+		}
+		return emit(key, frag, ship)
+	}
+}
+
+// reconcile hashes a materialized slice output and returns what to ship:
+// the delta when warm, the output itself otherwise. Records without IDs
+// cannot be reconciled, so such an output ships in full.
+func (sd *sourceDelta) reconcile(sw *wire.ShipmentWriter, out map[string]*core.Instance) map[string]*core.Instance {
+	ship := make(map[string]*core.Instance, len(out))
+	for key, in := range out {
+		recs, _ := sd.df.Filter(key, in.Records)
+		ship[key] = &core.Instance{Frag: in.Frag, Records: recs}
+	}
+	if _, keyed := sd.df.Fresh(); !keyed {
+		sd.delta = false
+	}
+	sw.SetDelta(sd.delta)
+	if !sd.delta {
+		return out
+	}
+	return ship
+}
+
+// emitTombstones closes a delta with one sequenced tombstone chunk per
+// edge that lost records, after every record chunk.
+func (sd *sourceDelta) emitTombstones(sw *wire.ShipmentWriter) error {
+	if !sd.delta {
+		return nil
+	}
+	tombs, n := sd.df.Tombstones()
+	sd.tombs = n
+	keys := make([]string, 0, len(tombs))
+	for key := range tombs {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	seq := sw.NextSeq()
+	for _, key := range keys {
+		if err := sw.EmitTombstones(key, tombs[key], seq); err != nil {
+			return err
+		}
+		seq++
+	}
+	return nil
+}
+
+// commit records the shipped snapshot's hashes as a generation the next
+// request may name as its base, and writes the delta attributes of the
+// timing trailer: whether the shipment is a delta, the base it patches
+// (echoed), its record and tombstone counts, and the token the snapshot
+// is held under — absent when records without IDs left nothing to hold.
+func (sd *sourceDelta) commit(e *Endpoint, w io.Writer) error {
+	fresh, keyed := sd.df.Fresh()
+	if !keyed {
+		fresh = nil
+	}
+	e.recon.Record(sd.stream, sd.epoch, sd.base, sd.session, fresh)
+	attrs := ` delta="0"`
+	if sd.delta {
+		attrs = fmt.Sprintf(` delta="1" base="%s" deltaRecords="%d" tombstones="%d"`, xmlAttr(sd.base), sd.df.Records(), sd.tombs)
+	}
+	if keyed {
+		attrs += ` token="` + xmlAttr(sd.session) + `"`
+	}
+	_, err := io.WriteString(w, attrs)
+	return err
+}
+
+// xmlAttr escapes a string for a double-quoted XML attribute value.
+var xmlAttr = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;").Replace
 
 // executeTargetStream is the stream dispatch for ExecuteTarget: one SAX
 // pass over the request, program tree materialized, shipment decoded

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
 	"xdx/internal/core"
 	"xdx/internal/relstore"
@@ -51,22 +52,29 @@ func TestPublishReproducesDocument(t *testing.T) {
 
 func TestPublishFromMFCostsMoreThanLF(t *testing.T) {
 	// Table 2's publish asymmetry: the MF source runs many more combines.
+	// One wall-clock sample per side lets a scheduler hiccup flip the
+	// comparison, so each side takes the best of several runs.
 	sch := xmark.Schema()
 	doc := xmark.Generate(xmark.Config{TargetBytes: 200_000, Seed: 2})
 	mf := loadedStore(t, core.MostFragmented(sch), doc)
 	lf := loadedStore(t, core.LeastFragmented(sch), doc)
-	var sink bytes.Buffer
-	mfRes, err := Publish(mf, &sink)
-	if err != nil {
-		t.Fatal(err)
+	best := func(st *relstore.Store) time.Duration {
+		t.Helper()
+		var fastest time.Duration
+		for i := 0; i < 5; i++ {
+			var sink bytes.Buffer
+			res, err := Publish(st, &sink)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 || res.QueryTime < fastest {
+				fastest = res.QueryTime
+			}
+		}
+		return fastest
 	}
-	sink.Reset()
-	lfRes, err := Publish(lf, &sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mfRes.QueryTime <= lfRes.QueryTime {
-		t.Errorf("publish from MF (%v) should cost more than from LF (%v)", mfRes.QueryTime, lfRes.QueryTime)
+	if mfTime, lfTime := best(mf), best(lf); mfTime <= lfTime {
+		t.Errorf("publish from MF (%v) should cost more than from LF (%v)", mfTime, lfTime)
 	}
 }
 

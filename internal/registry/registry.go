@@ -67,9 +67,9 @@ type Agency struct {
 	epoch atomic.Int64
 	plans planCache
 
-	// recon remembers, per exchange stream, what the previous successful
-	// delivery shipped (record hashes), so repeat exchanges under
-	// ExecOptions.Delta ship only the difference.
+	// recon remembers, per exchange stream, the token of the snapshot the
+	// target last acked, which repeat exchanges under ExecOptions.Delta
+	// name to the source as the base to ship the difference against.
 	recon *reliable.ReconIndex
 
 	log obs.Logger
@@ -546,11 +546,12 @@ type Report struct {
 	// and, on the reliable path, retransmitted attempts. PayloadBytes is
 	// the same shipment measured in the universal tagged-XML tree codec,
 	// so the two diverge exactly by what the negotiated codec saved (or
-	// framing cost). On a relayed (full reliable) exchange the source
-	// counts PayloadBytes as it renders and reports it in its timing
-	// trailer; the streamed and delta paths measure what they decoded.
-	// PayloadBytes is zero on the buffered tree path, which forwards the
-	// shipment without decoding it.
+	// framing cost). On the reliable path the source counts PayloadBytes
+	// as it renders and reports it in its timing trailer: on a delta that
+	// is the records the delta ships, so it measures the same shipment as
+	// WireBytes. The streamed path measures what it decoded. PayloadBytes
+	// is zero on the buffered tree path, which forwards the shipment
+	// without decoding it.
 	WireBytes    int64
 	PayloadBytes int64
 	// Codec is the shipment codec the exchange actually traveled under —
@@ -573,10 +574,11 @@ type Report struct {
 	// ledger dropped across resumed deliveries.
 	DedupedRecords int64
 	// Delta reports whether the delivery actually ran in delta mode (a
-	// requested delta falls back to a full re-ship when the reconciliation
-	// index or the target's base is cold, or the fragmentation epoch
+	// requested delta falls back to a full re-ship when the agency, the
+	// source or the target holds no base, or the fragmentation epoch
 	// changed). DeltaRecords is how many added/changed records the delta
-	// shipped; TombstoneRecords how many deletions it announced.
+	// shipped; TombstoneRecords how many deletions it announced. Both come
+	// from the source's timing trailer.
 	Delta            bool
 	DeltaRecords     int
 	TombstoneRecords int
@@ -605,10 +607,9 @@ type ExecOptions struct {
 	// "bin", or "bin+flate". On the streamed paths the agency advertises
 	// it (plus the universal "xml") on the request envelope and the
 	// source endpoint answers with its pick; the shipment itself stays
-	// self-describing either way. A full reliable exchange relays the
-	// source's chunks, so its target hop carries the source's pick; the
-	// agency encodes in this codec only what it renders itself — deltas,
-	// their cold re-ships, and the streamed path.
+	// self-describing either way. A reliable exchange, delta or full,
+	// relays the source's chunks, so its target hop carries the source's
+	// pick; the agency encodes in this codec only on the streamed path.
 	Codec string
 	// FilterElem/FilterValue pass a service argument (§3.2) to the source:
 	// only root-fragment records whose FilterElem leaf equals FilterValue
@@ -618,10 +619,11 @@ type ExecOptions struct {
 	// core.CompileFilter expression (child steps + leaf comparison)
 	// evaluated source-side. When both are set, Filter wins.
 	Filter string
-	// Delta asks for an incremental delivery: the agency diffs the fresh
-	// shipment against its reconciliation index for this service and ships
-	// only added/changed records plus tombstones for deletions, falling
-	// back to a full re-ship whenever either side's state is cold or the
+	// Delta asks for an incremental delivery: the agency names the
+	// snapshot the target last acked as the base, the source diffs its
+	// fresh output against it and ships only added/changed records plus
+	// tombstones for deletions, and the agency relays that delta. It falls
+	// back to a full re-ship whenever any party's state is cold or the
 	// fragmentation epoch changed. Requires Reliability (deltas ride the
 	// sessioned chunk protocol).
 	Delta bool
@@ -655,9 +657,9 @@ type ExecOptions struct {
 	// ParallelChunks dials the agency-side chunk codec pools (encode
 	// renders and raw-chunk parses): 0 — the default — is one worker per
 	// CPU, 1 or less runs the codecs in-line. The wire bytes and the
-	// decoded instances are identical for every setting. Only exchanges
-	// the agency decodes use the pools: deltas and the streamed path. A
-	// full reliable exchange relays the source's chunks undecoded.
+	// decoded instances are identical for every setting. Only the
+	// streamed path uses the pools: a reliable exchange, delta or full,
+	// relays the source's chunks undecoded.
 	ParallelChunks int
 	// Scheduler, when set, routes the drive through the admission-
 	// controlled exchange pool: the exchange waits for a worker under

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -231,10 +232,13 @@ func TestRelayResumesOverRetainedChunks(t *testing.T) {
 
 // TestRelayRejectsHostileSourceResponses feeds the agency source responses
 // a relay must not forward: truncated mid-chunk, unbalanced, with a seq
-// gap, a duplicate or a reordering, or without the timing trailer. Each
-// fails the exchange before any ExecuteTarget call, and the target store
-// stays as it was. An untouched response passes, so the tampering proxy
-// itself is sound.
+// gap, a duplicate or a reordering, or without the timing trailer; and,
+// on delta-enabled exchanges, a delta nobody asked for, tombstones in a
+// full shipment or ahead of a record chunk, a seq gap where the
+// tombstones start, or a base echo that does not match. Each fails the
+// exchange before any ExecuteTarget call, and the target store stays as
+// it was. Untouched responses pass, so the tampering proxy itself is
+// sound.
 func TestRelayRejectsHostileSourceResponses(t *testing.T) {
 	swapSeqs := strings.NewReplacer(`seq="1"`, `seq="2"`, `seq="2"`, `seq="1"`)
 	cases := []struct {
@@ -301,6 +305,130 @@ func TestRelayRejectsHostileSourceResponses(t *testing.T) {
 			}
 			if n := tgt.Rows(); n != 0 {
 				t.Errorf("target store holds %d rows", n)
+			}
+		})
+	}
+	t.Run("delta", rejectsHostileDeltaResponses)
+}
+
+// tamperSource wraps a source handler so that, while armed, every
+// ExecuteSource response passes through mutate.
+func tamperSource(armed *atomic.Bool, mutate func(string) string) func(http.Handler) http.Handler {
+	return func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if !armed.Load() || r.Header.Get("SOAPAction") != `"ExecuteSource"` {
+				h.ServeHTTP(w, r)
+				return
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, r)
+			w.Header().Set("Content-Type", rec.Header().Get("Content-Type"))
+			w.WriteHeader(rec.Code)
+			io.WriteString(w, mutate(rec.Body.String()))
+		})
+	}
+}
+
+// countTargetCalls wraps a target handler to count ExecuteTarget calls.
+func countTargetCalls(n *atomic.Int64) func(http.Handler) http.Handler {
+	return func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Header.Get("SOAPAction") == `"ExecuteTarget"` {
+				n.Add(1)
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
+}
+
+// swapTombstoneAhead moves a delta's first tombstone chunk ahead of its
+// last instance chunk and swaps their seqs, so the seqs stay contiguous
+// and only the order is wrong.
+func swapTombstoneAhead(b string) string {
+	i := strings.Index(b, "<tombstones ")
+	j := strings.LastIndex(b[:i], "<instance ")
+	k := i + strings.Index(b[i:], "</tombstones>") + len("</tombstones>")
+	seq := regexp.MustCompile(`seq="(\d+)"`)
+	inst, tomb := b[j:i], b[i:k]
+	is, ts := seq.FindString(inst), seq.FindString(tomb)
+	return b[:j] + strings.Replace(tomb, ts, is, 1) + strings.Replace(inst, is, ts, 1) + b[k:]
+}
+
+// rejectsHostileDeltaResponses is TestRelayRejectsHostileSourceResponses'
+// delta arm. A "cold" case tampers with the first, full exchange of a
+// delta-enabled stream; a "warm" case lets that exchange through, churns
+// the source and tampers with the delta that follows, which must leave
+// the target at the first snapshot.
+func rejectsHostileDeltaResponses(t *testing.T) {
+	cases := []struct {
+		name   string
+		warm   bool
+		mutate func(string) string
+	}{
+		{"untouched cold", false, func(b string) string { return b }},
+		{"untouched warm", true, func(b string) string { return b }},
+		{"delta without a base", false, func(b string) string {
+			return strings.Replace(b, "<shipment>", `<shipment delta="1">`, 1)
+		}},
+		{"tombstones in a full shipment", false, func(b string) string {
+			n := strings.Count(b, "<instance ")
+			return strings.Replace(b, "</shipment>", `<tombstones edge="x" seq="`+strconv.Itoa(n)+`"><d ID="1"/></tombstones></shipment>`, 1)
+		}},
+		{"seq gap at the tombstones", true, func(b string) string {
+			i := strings.Index(b, "<tombstones ")
+			return b[:i] + regexp.MustCompile(`seq="\d+"`).ReplaceAllStringFunc(b[i:], func(m string) string {
+				n, _ := strconv.Atoi(m[len(`seq="`) : len(m)-1])
+				return `seq="` + strconv.Itoa(n+1) + `"`
+			})
+		}},
+		{"tombstones ahead of a record chunk", true, swapTombstoneAhead},
+		{"base echo mismatch", true, func(b string) string {
+			return regexp.MustCompile(`(<timing [^>]*) base="[^"]*"`).ReplaceAllString(b, `$1 base="bogus"`)
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var armed atomic.Bool
+			var targetCalls atomic.Int64
+			r := startChurnRig(t, tamperSource(&armed, c.mutate), countTargetCalls(&targetCalls))
+			defer r.done()
+			opts := ExecOptions{
+				Link:  netsim.Loopback(),
+				Delta: true,
+				Reliability: &reliable.Config{ChunkSize: 8, Policy: reliable.Policy{
+					MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond,
+				}},
+			}
+			var before *xmltree.Node
+			if c.warm {
+				if _, err := r.ag.ExecuteOpts("Auction", r.plan, opts); err != nil {
+					t.Fatal(err)
+				}
+				before = canonTree(assembleTarget(t, r.tgt))
+				r.churn(t, 0.05, 1)
+			}
+			calls := targetCalls.Load()
+			armed.Store(true)
+			rep, err := r.ag.ExecuteOpts("Auction", r.plan, opts)
+			if strings.HasPrefix(c.name, "untouched") {
+				if err != nil || rep.Delta != c.warm || r.tgt.Rows() == 0 {
+					t.Fatalf("untouched response: err %v, delta %v, %d target rows", err, rep != nil && rep.Delta, r.tgt.Rows())
+				}
+				return
+			}
+			if err == nil {
+				t.Fatal("exchange accepted the tampered source response")
+			}
+			t.Logf("rejected: %v", err)
+			if n := targetCalls.Load() - calls; n != 0 {
+				t.Errorf("target saw %d ExecuteTarget calls", n)
+			}
+			if !c.warm {
+				if n := r.tgt.Rows(); n != 0 {
+					t.Errorf("target store holds %d rows", n)
+				}
+			} else if !xmltree.Equal(before, canonTree(assembleTarget(t, r.tgt))) {
+				t.Error("target store changed")
 			}
 		})
 	}

@@ -16,29 +16,29 @@ package registry
 //   - every attempt passes the endpoint's circuit breaker, and the whole
 //     exchange shares one retry budget and deadline.
 //
-// A full exchange relays. The agency plans the exchange but is not one of
-// its computation nodes (§4.1 charges computation to S and T and
-// communication to the cross-edges), so it does not decode the shipment:
-// it asks the source for the session's chunking (chunk="N"), keeps the
-// sequenced chunks exactly as they arrived, and writes them into the
-// target session byte for byte, skipping the acked ones on a resume. The
-// target hop therefore carries the source's negotiated codec, and the
-// target's decoder is the one that validates every chunk. A delta
-// exchange decodes instead — hashing and diffing need record contents —
-// and renders the chunks it ships in the requested codec, as does its
-// full re-ship when either side is cold. The two hops stay sequential, so
+// The agency relays. It plans the exchange but is not one of its
+// computation nodes (§4.1 charges computation to S and T and
+// communication to the cross-edges), so it decodes no shipment: it asks
+// the source for the session's chunking (chunk="N"), keeps the sequenced
+// chunks exactly as they arrived, and writes them into the target session
+// byte for byte, skipping the acked ones on a resume. The target hop
+// therefore carries the source's negotiated codec, and the target's
+// decoder is the one that validates every chunk. A delta exchange relays
+// too: change detection runs at the source, which diffs its fresh output
+// against the snapshot the agency names as the target's base and ships
+// only added or changed records plus tombstone chunks, so both hops scale
+// with churn rather than snapshot size. The agency keeps just the token
+// of the snapshot the target last acked. The two hops stay sequential, so
 // retry, resume, breaker and dedup behave alike on both kinds.
 
 import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
 
-	"xdx/internal/core"
 	"xdx/internal/netsim"
 	"xdx/internal/obs"
 	"xdx/internal/reliable"
@@ -71,17 +71,16 @@ func wireExchangeObs(ex *reliable.Exchange, opts ExecOptions) {
 }
 
 // executeReliable drives an exchange end-to-end under the reliability
-// config: retried source execution, resumable chunked target delivery. A
-// full exchange relays: the source cuts its shipment into the session's
-// sequenced chunks, and the agency keeps them verbatim and forwards them
-// byte for byte, never decoding a record. A delta exchange decodes, since
-// hashing and diffing need record contents, and renders what it ships.
+// config: retried source execution, resumable chunked target delivery.
+// The source cuts its shipment into the session's sequenced chunks —
+// on a delta-enabled exchange, only what changed since the base the
+// agency names — and the agency keeps them verbatim and forwards them
+// byte for byte, never decoding a record.
 func (a *Agency) executeReliable(service string, plan *Plan, opts ExecOptions) (*Report, error) {
 	src, tgt := a.parties(service)
 	if src == nil || tgt == nil {
 		return nil, fmt.Errorf("registry: service %q not fully registered", service)
 	}
-	sch := src.Fragmentation.Schema
 	progXML, err := wire.EncodeProgram(plan.Program, plan.Assign)
 	if err != nil {
 		return nil, err
@@ -94,82 +93,70 @@ func (a *Agency) executeReliable(service string, plan *Plan, opts ExecOptions) (
 	report := &Report{Plan: plan, Codec: codec.String(), Trace: trace}
 	ex := reliable.NewExchange(opts.Reliability)
 	wireExchangeObs(ex, opts)
-
-	reqS := sourceRequest(progXML, opts)
-	if !opts.Delta {
-		reqS.SetAttr("chunk", strconv.Itoa(ex.ChunkSize()))
-	}
-
-	// Phase 1: source execution, retried wholesale. The source recomputes
-	// its slice on every attempt, so a fresh scan per try keeps torn
-	// partial shipments out of the result.
-	var scan *sourceRespScan
-	var inbound map[string]*core.Instance
 	cs := ex.Client(src.URL)
 	advertise(cs, codec)
-	srcSpan := trace.Child("source")
-	err = ex.Do("ExecuteSource", src.URL, func(try int) error {
-		at := srcSpan.Child("attempt")
-		at.Set("try", strconv.Itoa(try))
-		defer at.End()
-		scanS := &sourceRespScan{}
-		if opts.Delta {
-			scanS.dec = wire.NewShipmentDecoder(sch, fragLookup(plan.Program))
-			scanS.dec.Workers = opts.ParallelChunks
-			scanS.dec.Met = opts.Metrics
-		}
-		if err := cs.CallStream("ExecuteSource", func(w io.Writer) error {
-			return xmltree.Write(w, reqS, xmltree.WriteOptions{EmitAllIDs: true})
-		}, scanS); err != nil {
-			at.Set("err", err.Error())
-			return err
-		}
-		// The response scan completed, so a missing part is a protocol
-		// defect, not a torn stream; retrying would repeat it.
-		var err error
-		switch {
-		case !scanS.sawShipment:
-			err = fmt.Errorf("registry: source returned no shipment")
-		case opts.Delta:
-			inbound, err = scanS.dec.Result()
-		case !scanS.sawTiming:
-			err = fmt.Errorf("registry: source response lacks its timing trailer")
-		default:
-			if report.PayloadBytes, err = strconv.ParseInt(scanS.payloadBytes, 10, 64); err != nil {
-				err = fmt.Errorf("registry: source timing trailer has bad payloadBytes %q", scanS.payloadBytes)
-			}
-		}
-		if err != nil {
-			at.Set("err", err.Error())
-			return reliable.Permanent(err)
-		}
-		scan = scanS
-		return nil
-	})
-	srcSpan.End()
-	if err != nil {
-		report.Retries = ex.Retries()
-		return report, fmt.Errorf("registry: source execution: %w", err)
-	}
-	if scan.codec != "" {
-		report.Codec = scan.codec
-	}
-	report.SourceTime = parseMillis(scan.queryMillis)
-	if opts.Delta {
-		report.PayloadBytes = wire.ShipmentBytes(inbound)
-	}
-
-	// Phase 2: resumable target delivery. Each redelivery first asks the
-	// target which chunk it acked last and resumes emission there.
-	// ShipBytes counts the actual wire bytes across all attempts —
-	// retransmission is a real communication cost.
 	ct := ex.Client(tgt.URL)
 	stream, epoch := service, deltaEpoch(src, tgt)
+	log := obs.OrNop(opts.Logger)
 
-	// deliver drives one resumable session of chunks sequenced 0..n-1;
-	// ship writes the <shipment> element from chunk next on. The relay and
-	// the rendered delta and re-ship deliveries share it.
-	deliver := func(sessionID string, n int, delta bool, ship func(w io.Writer, next int64) error) (*xmltree.Node, error) {
+	// fetch runs the source call of one session, retried wholesale. The
+	// source recomputes its slice on every attempt, so a fresh scan per
+	// try keeps torn partial shipments out of the relay. A delta-enabled
+	// request names the stream, epoch and session — the token the source
+	// holds the fresh snapshot's hashes under — and the base to diff
+	// against, if any.
+	fetch := func(session, base string) (*sourceRespScan, error) {
+		reqS := sourceRequest(progXML, opts)
+		reqS.SetAttr("chunk", strconv.Itoa(ex.ChunkSize()))
+		if opts.Delta {
+			reqS.SetAttr("deltaStream", stream)
+			reqS.SetAttr("epoch", epoch)
+			reqS.SetAttr("session", session)
+			if base != "" {
+				reqS.SetAttr("base", base)
+			}
+		}
+		var scan *sourceRespScan
+		srcSpan := trace.Child("source")
+		defer srcSpan.End()
+		err := ex.Do("ExecuteSource", src.URL, func(try int) error {
+			at := srcSpan.Child("attempt")
+			at.Set("try", strconv.Itoa(try))
+			defer at.End()
+			scanS := &sourceRespScan{base: base}
+			if err := cs.CallStream("ExecuteSource", func(w io.Writer) error {
+				return xmltree.Write(w, reqS, xmltree.WriteOptions{EmitAllIDs: true})
+			}, scanS); err != nil {
+				scanS.release()
+				at.Set("err", err.Error())
+				return err
+			}
+			// The response scan completed, so a missing or inconsistent
+			// part is a protocol defect, not a torn stream; retrying would
+			// repeat it.
+			if err := scanS.check(opts.Delta, session); err != nil {
+				scanS.release()
+				at.Set("err", err.Error())
+				return reliable.Permanent(err)
+			}
+			scan = scanS
+			return nil
+		})
+		if err == nil {
+			report.PayloadBytes, report.SourceTime = scan.payload, parseMillis(scan.queryMillis)
+			report.Delta, report.DeltaRecords, report.TombstoneRecords = scan.delta, scan.deltaRecords, scan.tombstoneRecords
+			if scan.codec != "" {
+				report.Codec = scan.codec
+			}
+		}
+		return scan, err
+	}
+
+	// deliver drives one resumable target session of the relayed chunks,
+	// sequenced 0..n-1, resuming each redelivery from the chunk the target
+	// acked last. ShipBytes counts the actual wire bytes across all
+	// attempts — retransmission is a real communication cost.
+	deliver := func(sessionID string, scan *sourceRespScan) (*xmltree.Node, error) {
 		open := `<ExecuteTarget session="` + sessionID + `"`
 		if opts.Pipelined {
 			open += ` pipelined="1"`
@@ -180,7 +167,7 @@ func (a *Agency) executeReliable(service string, plan *Plan, opts ExecOptions) (
 			// as the base the next delta patches.
 			open += ` stream="` + attrEscape(stream) + `" epoch="` + epoch + `"`
 		}
-		if delta {
+		if scan.delta {
 			open += ` delta="1"`
 		}
 		open += `>`
@@ -188,8 +175,8 @@ func (a *Agency) executeReliable(service string, plan *Plan, opts ExecOptions) (
 		delSpan := trace.Child("deliver")
 		defer delSpan.End()
 		delSpan.Set("session", sessionID)
-		delSpan.Set("chunks", strconv.Itoa(n))
-		if delta {
+		delSpan.Set("chunks", strconv.Itoa(len(scan.ends)))
+		if scan.delta {
 			delSpan.Set("delta", "1")
 		}
 		next := int64(0)
@@ -223,7 +210,7 @@ func (a *Agency) executeReliable(service string, plan *Plan, opts ExecOptions) (
 					report.WireBytes += m.Bytes()
 					report.ShipBytes = report.WireBytes
 				}()
-				if err := ship(m, next); err != nil {
+				if err := scan.relay(m, next); err != nil {
 					return err
 				}
 				_, err := io.WriteString(w, `</ExecuteTarget>`)
@@ -257,99 +244,79 @@ func (a *Agency) executeReliable(service string, plan *Plan, opts ExecOptions) (
 		return respT, nil
 	}
 
-	// render delivers record and tombstone chunks the agency encodes
-	// itself, in the requested codec: a delta, or a delta exchange's full
-	// re-ship.
-	render := func(chunks []reliable.Chunk, tombs []tombChunk, delta bool) (*xmltree.Node, error) {
-		return deliver(ex.SessionID(), len(chunks)+len(tombs), delta, func(w io.Writer, next int64) error {
-			sw := wire.NewShipmentWriterCodec(w, sch, codec)
-			sw.SetWorkers(opts.ParallelChunks)
-			sw.SetObs(opts.Metrics)
-			sw.SetDelta(delta)
-			for _, c := range chunks {
-				if c.Seq < next {
-					continue // acked on a prior attempt
-				}
-				if err := sw.EmitChunk(c.Key, c.Frag, c.Recs, c.Seq); err != nil {
-					sw.Close()
-					return err
-				}
-			}
-			for _, tc := range tombs {
-				if tc.seq < next {
-					continue
-				}
-				if err := sw.EmitTombstones(tc.key, tc.ids, tc.seq); err != nil {
-					sw.Close()
-					return err
-				}
-			}
-			return sw.Close()
-		})
-	}
-	fullChunks := func() []reliable.Chunk { return reliable.ChunkShipment(inbound, ex.ChunkSize()) }
-
-	var respT *xmltree.Node
-	var hashes map[string]reliable.EdgeHashes
-	hashesOK := false
-	log := obs.OrNop(opts.Logger)
+	// A delta names the base the target last acked, if the target still
+	// holds it; cold on either side (first exchange, restart, epoch
+	// change), the source ships in full.
+	base := ""
 	if opts.Delta {
-		hashes, hashesOK = reliable.HashShipment(inbound)
+		if tok, ok := a.recon.Token(stream, epoch); ok && targetDeltaWarm(ct, stream, epoch) {
+			base = tok
+		}
 	}
+	session := ex.SessionID()
+	var scan *sourceRespScan
+	defer func() {
+		// Every delivery attempt has returned by now, so nothing can
+		// relay from the scan's buffer any more.
+		if scan != nil {
+			scan.release()
+		}
+	}()
+	scan, err = fetch(session, base)
+	if err != nil {
+		report.Retries = ex.Retries()
+		return report, fmt.Errorf("registry: source execution: %w", err)
+	}
+	keyed := scan.trailer.token != ""
 	switch {
 	case !opts.Delta:
-		respT, err = deliver(ex.SessionID(), len(scan.ends), false, scan.relay)
-	case !hashesOK:
-		// Records without IDs cannot be reconciled; this shipment shape is
-		// never delta-able, so don't bother warming the index either.
+	case !keyed:
+		// Records without IDs cannot be reconciled: the source holds no
+		// snapshot to diff the next exchange against.
 		opts.Metrics.Counter("exchange.delta.unkeyed").Inc()
 		log.Log(obs.LevelInfo, "delta disabled: shipment carries records without IDs", "service", service)
-		respT, err = render(fullChunks(), nil, false)
-	default:
-		base, warm := a.recon.Snapshot(stream, epoch)
-		if warm {
-			warm = targetDeltaWarm(ct, stream, epoch)
+	case !scan.delta:
+		opts.Metrics.Counter("exchange.delta.cold").Inc()
+	}
+	respT, err := deliver(session, scan)
+	if err != nil && scan.delta && soap.IsColdDelta(err) {
+		// The target lost its base between the warm probe and the delivery
+		// (sweep or restart mid-flight). Full re-ship on a fresh session —
+		// the dead session's ledger state must not skip chunks of a
+		// differently-numbered shipment.
+		opts.Metrics.Counter("exchange.delta.fallbacks").Inc()
+		log.Log(obs.LevelWarn, "delta fell back to full re-ship: target base cold", "service", service)
+		scan.release()
+		session = ex.SessionID()
+		if scan, err = fetch(session, ""); err != nil {
+			report.Retries = ex.Retries()
+			return report, fmt.Errorf("registry: source execution: %w", err)
 		}
-		if !warm {
-			// Cold on either side (first exchange, restart, or epoch
-			// change): full re-ship, then warm the index for next time.
-			opts.Metrics.Counter("exchange.delta.cold").Inc()
-			respT, err = render(fullChunks(), nil, false)
-		} else {
-			d := reliable.DiffShipment(inbound, base)
-			chunks := reliable.ChunkShipment(d.Ship, ex.ChunkSize())
-			seq := int64(len(chunks))
-			var tombs []tombChunk
-			for _, key := range sortedTombKeys(d.Tombs) {
-				tombs = append(tombs, tombChunk{key: key, ids: d.Tombs[key], seq: seq})
-				seq++
-			}
-			report.Delta, report.DeltaRecords, report.TombstoneRecords = true, d.Records, d.Tombstones
-			respT, err = render(chunks, tombs, true)
-			if err != nil && soap.IsColdDelta(err) {
-				// The target lost its base between the warm probe and the
-				// delivery (sweep or restart mid-flight). Full re-ship on a
-				// fresh session — the dead session's ledger state must not
-				// skip chunks of a differently-numbered shipment.
-				opts.Metrics.Counter("exchange.delta.fallbacks").Inc()
-				log.Log(obs.LevelWarn, "delta fell back to full re-ship: target base cold", "service", service)
-				report.Delta, report.DeltaRecords, report.TombstoneRecords = false, 0, 0
-				respT, err = render(fullChunks(), nil, false)
-			} else if err == nil {
-				opts.Metrics.Counter("exchange.delta.exchanges").Inc()
-				opts.Metrics.Counter("exchange.delta.records").Add(int64(d.Records))
-				opts.Metrics.Counter("exchange.delta.tombstones").Add(int64(d.Tombstones))
-			}
-		}
+		keyed = scan.trailer.token != ""
+		respT, err = deliver(session, scan)
 	}
 	report.Retries = ex.Retries()
 	if err != nil {
+		if opts.Delta {
+			// Whether the target applied the shipment is unknown, so no
+			// base can be named safely: the next exchange ships in full.
+			a.recon.Invalidate(stream)
+		}
 		return report, fmt.Errorf("registry: target execution: %w", err)
 	}
-	if opts.Delta && hashesOK {
-		// The delivery succeeded, so the target's snapshot now equals the
-		// fresh shipment: commit its hashes as the next exchange's base.
-		a.recon.Commit(stream, epoch, hashes)
+	if opts.Delta {
+		// The target acked, so its snapshot now equals the source's fresh
+		// one: the session token names the next exchange's base.
+		if keyed {
+			a.recon.Commit(stream, epoch, session)
+		} else {
+			a.recon.Invalidate(stream)
+		}
+		if scan.delta {
+			opts.Metrics.Counter("exchange.delta.exchanges").Inc()
+			opts.Metrics.Counter("exchange.delta.records").Add(int64(report.DeltaRecords))
+			opts.Metrics.Counter("exchange.delta.tombstones").Add(int64(report.TombstoneRecords))
+		}
 	}
 	report.ShipTime = opts.Link.TransferTime(report.ShipBytes)
 	if v, ok := respT.Attr("execMillis"); ok {
@@ -365,26 +332,6 @@ func (a *Agency) executeReliable(service string, plan *Plan, opts ExecOptions) (
 		report.DedupedRecords, _ = strconv.ParseInt(v, 10, 64)
 	}
 	return report, nil
-}
-
-// tombChunk is one pending tombstone emission: the deleted record IDs of
-// an edge, sequenced after the delta's record chunks so the session ledger
-// checkpoints deletions like any chunk.
-type tombChunk struct {
-	key string
-	ids []string
-	seq int64
-}
-
-// sortedTombKeys orders tombstone edges deterministically, matching
-// ChunkShipment's sorted-key sequencing.
-func sortedTombKeys(tombs map[string][]string) []string {
-	keys := make([]string, 0, len(tombs))
-	for k := range tombs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // deltaEpoch fingerprints the fragmentation agreement a reconciliation

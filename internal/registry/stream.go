@@ -10,10 +10,12 @@ package registry
 // those instances, metered for the communication-cost report as it leaves.
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
 
+	"xdx/internal/bufpool"
 	"xdx/internal/core"
 	"xdx/internal/netsim"
 	"xdx/internal/wire"
@@ -39,11 +41,17 @@ func scanAttr(attrs []xmltree.Attr, name string) string {
 type sourceRespScan struct {
 	dec *wire.ShipmentDecoder
 
-	// Relay mode: the chunks back to back in raw, chunk i (seq i) ending
-	// at ends[i].
-	raw      []byte
+	// Relay mode: the chunks back to back in raw (a pooled buffer, handed
+	// back by release), chunk i (seq i) ending at ends[i]. base is the
+	// delta base the request named: only then may the shipment be a delta
+	// (delta), whose tombstone chunks follow every record chunk (tombs is
+	// set from the first one on).
+	raw      *bytes.Buffer
 	ends     []int
 	relaying bool
+	base     string
+	delta    bool
+	tombs    bool
 
 	depth int
 	skip  int
@@ -56,6 +64,12 @@ type sourceRespScan struct {
 	sawShipment  bool
 	sawTiming    bool
 	codec        string
+
+	// The timing trailer's delta attributes (delta-enabled requests), and
+	// what check parses out of the trailer.
+	trailer                        struct{ delta, base, records, tombstones, token string }
+	payload                        int64
+	deltaRecords, tombstoneRecords int
 }
 
 // ObserveEnvelope implements soap.EnvelopeObserver: the response
@@ -85,6 +99,9 @@ func (s *sourceRespScan) StartElement(name string, attrs []xmltree.Attr) error {
 		case "shipment":
 			s.sawShipment = true
 			if s.dec == nil {
+				if s.delta = scanAttr(attrs, "delta") == "1"; s.delta && s.base == "" {
+					return fmt.Errorf("registry: source shipped a delta but no base was named")
+				}
 				s.relaying = true
 				return nil
 			}
@@ -96,6 +113,11 @@ func (s *sourceRespScan) StartElement(name string, attrs []xmltree.Attr) error {
 				s.queryMillis = v
 			}
 			s.payloadBytes = scanAttr(attrs, "payloadBytes")
+			s.trailer.delta = scanAttr(attrs, "delta")
+			s.trailer.base = scanAttr(attrs, "base")
+			s.trailer.records = scanAttr(attrs, "deltaRecords")
+			s.trailer.tombstones = scanAttr(attrs, "tombstones")
+			s.trailer.token = scanAttr(attrs, "token")
 			s.depth--
 			s.skip = 1
 		default:
@@ -111,40 +133,105 @@ func (s *sourceRespScan) StartElement(name string, attrs []xmltree.Attr) error {
 func (s *sourceRespScan) RawChildren() bool { return s.relaying }
 
 // RawElement implements xmltree.RawHandler, keeping one relayed chunk. The
-// chunks must be instances numbered 0, 1, 2, ... in wire order: a gap,
-// duplicate or reordered seq would let the target's checkpoint skip
-// records on a resume, so it fails the source call instead.
+// chunks must be numbered 0, 1, 2, ... in wire order: a gap, duplicate or
+// reordered seq would let the target's checkpoint skip records on a
+// resume, so it fails the source call instead. Tombstone chunks belong to
+// a delta only, after its last instance chunk.
 func (s *sourceRespScan) RawElement(name string, attrs []xmltree.Attr, raw []byte) error {
-	if name != "instance" {
+	switch {
+	case name == "tombstones" && !s.delta:
+		return fmt.Errorf("registry: tombstones in a full source shipment")
+	case name == "tombstones":
+		s.tombs = true
+	case name != "instance":
 		return fmt.Errorf("registry: unexpected <%s> in the source shipment", name)
+	case s.tombs:
+		return fmt.Errorf("registry: source instance chunk after its tombstones")
 	}
 	if seq := scanAttr(attrs, "seq"); seq != strconv.Itoa(len(s.ends)) {
 		return fmt.Errorf("registry: source chunk seq %q out of order, want %d", seq, len(s.ends))
 	}
-	s.raw = append(s.raw, raw...)
-	s.ends = append(s.ends, len(s.raw))
+	if s.raw == nil {
+		s.raw = bufpool.RelayBuffer()
+	}
+	s.raw.Write(raw)
+	s.ends = append(s.ends, s.raw.Len())
+	return nil
+}
+
+// check validates a completed relay scan before anything is delivered,
+// and parses its trailer: the shipment and its timing trailer are
+// present, and on a delta-enabled request the trailer agrees with the
+// shipment — a delta echoes the base the request named and counts its
+// records and tombstones, and a held snapshot is held under this session.
+func (s *sourceRespScan) check(deltaReq bool, session string) error {
+	if !s.sawShipment {
+		return fmt.Errorf("registry: source returned no shipment")
+	}
+	if !s.sawTiming {
+		return fmt.Errorf("registry: source response lacks its timing trailer")
+	}
+	var err error
+	if s.payload, err = strconv.ParseInt(s.payloadBytes, 10, 64); err != nil {
+		return fmt.Errorf("registry: source timing trailer has bad payloadBytes %q", s.payloadBytes)
+	}
+	if !deltaReq {
+		return nil
+	}
+	t := s.trailer
+	switch {
+	case t.delta != "0" && t.delta != "1":
+		return fmt.Errorf("registry: source timing trailer has bad delta %q", t.delta)
+	case (t.delta == "1") != s.delta:
+		return fmt.Errorf("registry: source trailer says delta=%s, its shipment disagrees", t.delta)
+	case t.token != "" && t.token != session:
+		return fmt.Errorf("registry: source holds the snapshot as %q, not session %q", t.token, session)
+	case !s.delta:
+		return nil
+	case t.base != s.base:
+		return fmt.Errorf("registry: source delta patches base %q, the request named %q", t.base, s.base)
+	}
+	if s.deltaRecords, err = strconv.Atoi(t.records); err != nil {
+		return fmt.Errorf("registry: source timing trailer has bad deltaRecords %q", t.records)
+	}
+	if s.tombstoneRecords, err = strconv.Atoi(t.tombstones); err != nil {
+		return fmt.Errorf("registry: source timing trailer has bad tombstones %q", t.tombstones)
+	}
 	return nil
 }
 
 // relay writes the relayed shipment onto w from chunk next on, framed as
 // wire.ShipmentWriter frames it: <shipment/> when no chunk is left.
 func (s *sourceRespScan) relay(w io.Writer, next int64) error {
+	open := "<shipment"
+	if s.delta {
+		open += ` delta="1"`
+	}
 	if next >= int64(len(s.ends)) {
-		_, err := io.WriteString(w, "<shipment/>")
+		_, err := io.WriteString(w, open+"/>")
 		return err
 	}
 	start := 0
 	if next > 0 {
 		start = s.ends[next-1]
 	}
-	if _, err := io.WriteString(w, "<shipment>"); err != nil {
+	if _, err := io.WriteString(w, open+">"); err != nil {
 		return err
 	}
-	if _, err := w.Write(s.raw[start:]); err != nil {
+	if _, err := w.Write(s.raw.Bytes()[start:]); err != nil {
 		return err
 	}
 	_, err := io.WriteString(w, "</shipment>")
 	return err
+}
+
+// release hands the relay buffer back to the pool. Call it once no
+// delivery attempt can relay from the scan any more.
+func (s *sourceRespScan) release() {
+	if s.raw != nil {
+		bufpool.PutRelayBuffer(s.raw)
+		s.raw = nil
+	}
 }
 
 // Text implements xmltree.AttrHandler.

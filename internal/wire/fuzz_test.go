@@ -159,3 +159,61 @@ func FuzzFeedReader(f *testing.F) {
 		_, _ = ReadFeed(strings.NewReader(data), frag, sch)
 	})
 }
+
+// FuzzDecodeProgram fuzzes the program decoder both execute operations run
+// on bytes another process sent. The decoder must never panic, and any
+// program it accepts must survive a re-encode: decode∘encode∘decode equals
+// decode, compared on the program text, the assignment and the canonical
+// encoding.
+func FuzzDecodeProgram(f *testing.F) {
+	sch, _, g, a := fixtures(f)
+	x, err := EncodeProgram(g, a)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(xmltree.Marshal(x, xmltree.WriteOptions{}))
+	f.Add(`<program><ops/><edges/></program>`)
+	f.Add(`<program><fragments/><ops><op id="0" kind="Scan" out="x" loc="S"/></ops><edges/></program>`)
+	f.Add(`<program><fragments/><ops><op id="0" kind="Bogus" out="x" loc="S"/></ops><edges/></program>`)
+	f.Fuzz(func(t *testing.T, text string) {
+		parsed, err := xmltree.Parse(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		g1, a1, err := DecodeProgram(parsed, sch)
+		if err != nil {
+			return
+		}
+		x1, err := EncodeProgram(g1, a1)
+		if err != nil {
+			t.Fatalf("accepted program does not re-encode: %v", err)
+		}
+		enc1 := xmltree.Marshal(x1, xmltree.WriteOptions{})
+		reparsed, err := xmltree.Parse(strings.NewReader(enc1))
+		if err != nil {
+			t.Fatalf("re-encoded program does not parse: %v\n%s", err, enc1)
+		}
+		g2, a2, err := DecodeProgram(reparsed, sch)
+		if err != nil {
+			t.Fatalf("re-encoded program does not decode: %v\n%s", err, enc1)
+		}
+		if g2.String() != g1.String() {
+			t.Fatalf("program changed across re-encode:\n%s\nvs\n%s", g2, g1)
+		}
+		if len(a2) != len(a1) {
+			t.Fatalf("assignment has %d ops, was %d", len(a2), len(a1))
+		}
+		for i := range a1 {
+			if a2[i] != a1[i] {
+				t.Fatalf("op %d moved from %v to %v", i, a1[i], a2[i])
+			}
+		}
+		x2, err := EncodeProgram(g2, a2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if enc2 := xmltree.Marshal(x2, xmltree.WriteOptions{}); enc2 != enc1 {
+			t.Fatalf("encoding changed across re-encode:\n%s\nvs\n%s", enc2, enc1)
+		}
+	})
+}

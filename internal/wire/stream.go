@@ -105,6 +105,15 @@ func (sw *ShipmentWriter) SetChunkSize(n int) {
 	}
 }
 
+// NextSeq reports the seq the next auto-sequenced chunk takes under
+// SetChunkSize — where a delta's tombstone chunks continue the sequence
+// once every record chunk is out.
+func (sw *ShipmentWriter) NextSeq() int64 {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	return sw.nextSeq
+}
+
 // PayloadBytes reports the records emitted so far measured in the
 // tagged-XML tree codec, whatever the writer's codec — the size
 // Report.PayloadBytes carries. It is counted as chunks render, and is
@@ -182,8 +191,8 @@ func (sw *ShipmentWriter) openLocked() {
 // delta's source no longer has for this edge. Tombstones are always tagged
 // XML regardless of codec — they are tiny — and always sequenced, so the
 // session ledger checkpoints them like any chunk. In parallel mode the
-// render pool is drained first: the agency emits tombstones after every
-// record chunk, so the drain keeps the byte stream identical to the serial
+// render pool is drained first: a delta's tombstones follow every record
+// chunk, so the drain keeps the byte stream identical to the serial
 // writer's.
 func (sw *ShipmentWriter) EmitTombstones(key string, ids []string, seq int64) error {
 	sw.mu.Lock()

@@ -9,7 +9,7 @@ import (
 	"xdx/internal/xmltree"
 )
 
-func fixtures(t *testing.T) (*schema.Schema, *core.Mapping, *core.Graph, core.Assignment) {
+func fixtures(t testing.TB) (*schema.Schema, *core.Mapping, *core.Graph, core.Assignment) {
 	t.Helper()
 	sch := schema.CustomerInfo()
 	src, err := core.FromPartition(sch, "S", [][]string{

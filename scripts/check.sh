@@ -51,10 +51,12 @@ make soak
 ./scripts/load_smoke.sh
 
 # Delta-correctness smoke: the churn property test (patched target equals
-# full re-ship record-for-record) plus the mid-delta crash/fallback arm,
-# re-run without the race detector as a fast standalone gate — a delta
-# that ships the wrong records must never reach a snapshot run.
-go test -count=1 -run 'TestDeltaExchangeChurnProperty|TestDeltaExchangeCrashRestartFallsBack' ./internal/registry/
+# full re-ship record-for-record), the mid-delta crash/fallback arm, the
+# source-restart fallback, and the relay's rejection of hostile source
+# responses (delta cases included), re-run without the race detector as a
+# fast standalone gate — a delta that ships the wrong records must never
+# reach a snapshot run.
+go test -count=1 -run 'TestDeltaExchangeChurnProperty|TestDeltaExchangeCrashRestartFallsBack|TestDeltaSourceRestartFallsBackToFull|TestRelayRejectsHostileSourceResponses' ./internal/registry/
 
 # Process-kill smoke: SIGKILL a durable target endpoint mid-exchange,
 # restart it over the same WAL directory, and the reliable exchange must
