@@ -34,13 +34,23 @@ type Filter struct {
 	numeric bool
 }
 
-// filterOps in probe order: two-char operators must be tried before their
-// one-char prefixes.
-var filterOps = []string{"!=", "<=", ">=", "=", "<", ">"}
+// filterOp returns the comparison operator starting at src[i], "" when
+// none does. A two-char operator wins over its one-char prefix.
+func filterOp(src string, i int) string {
+	if i+1 < len(src) && src[i+1] == '=' && strings.IndexByte("!<>", src[i]) >= 0 {
+		return src[i : i+2]
+	}
+	if strings.IndexByte("=<>", src[i]) >= 0 {
+		return src[i : i+1]
+	}
+	return ""
+}
 
 // CompileFilter parses and schema-checks expr. Every step must name a
 // schema element, consecutive steps must be parent/child in the schema, and
 // a comparison's final step must be a leaf (it carries the compared text).
+// The expression splits at its earliest operator: path steps never contain
+// operator characters, while a quoted literal may.
 func CompileFilter(expr string, sch *schema.Schema) (*Filter, error) {
 	src := strings.TrimSpace(expr)
 	if src == "" {
@@ -48,20 +58,22 @@ func CompileFilter(expr string, sch *schema.Schema) (*Filter, error) {
 	}
 	f := &Filter{Expr: src}
 	pathPart := src
-	for _, op := range filterOps {
-		if i := strings.Index(src, op); i >= 0 {
-			pathPart = src[:i]
-			f.op = op
-			lit, err := parseFilterLiteral(src[i+len(op):])
-			if err != nil {
-				return nil, fmt.Errorf("core: filter %q: %w", src, err)
-			}
-			f.value = lit
-			if n, err := strconv.ParseFloat(lit, 64); err == nil {
-				f.num, f.numeric = n, true
-			}
-			break
+	for i := 0; i < len(src); i++ {
+		op := filterOp(src, i)
+		if op == "" {
+			continue
 		}
+		pathPart = src[:i]
+		f.op = op
+		lit, err := parseFilterLiteral(src[i+len(op):])
+		if err != nil {
+			return nil, fmt.Errorf("core: filter %q: %w", src, err)
+		}
+		f.value = lit
+		if n, err := strconv.ParseFloat(lit, 64); err == nil {
+			f.num, f.numeric = n, true
+		}
+		break
 	}
 	for _, step := range strings.Split(strings.TrimSpace(pathPart), "/") {
 		step = strings.TrimSpace(step)

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
+	"xdx/internal/schema"
 	"xdx/internal/xmltree"
 )
 
@@ -143,4 +146,66 @@ func TestFilterSourcesWithCompiledFilter(t *testing.T) {
 			t.Errorf("fragment %q kept %d rows for a non-matching filter", name, in.Rows())
 		}
 	}
+}
+
+// TestCompileFilterOperatorInLiteral pins the split point: a quoted
+// literal may contain operator characters, so the expression splits at its
+// earliest operator, never at one found inside the literal.
+func TestCompileFilterOperatorInLiteral(t *testing.T) {
+	sch := schema.Auction()
+	for _, tc := range []struct{ expr, op, value string }{
+		{`iname = "a<=b"`, "=", "a<=b"},
+		{`iname > "a=b"`, ">", "a=b"},
+		{`iname = "x!=y"`, "=", "x!=y"},
+		{`iname >= 'p<q'`, ">=", "p<q"},
+		{`item/iname != "=="`, "!=", "=="},
+	} {
+		f, err := CompileFilter(tc.expr, sch)
+		if err != nil {
+			t.Errorf("CompileFilter(%q) = %v", tc.expr, err)
+			continue
+		}
+		if f.op != tc.op || f.value != tc.value {
+			t.Errorf("CompileFilter(%q): op %q value %q, want %q %q", tc.expr, f.op, f.value, tc.op, tc.value)
+		}
+	}
+}
+
+// FuzzCompileFilter feeds CompileFilter arbitrary expressions — the
+// endpoint compiles the filter attribute another process sends. It must
+// never panic, and an accepted filter must be stable: its Expr recompiles
+// to the same steps, op and value, and so does its canonical rendering
+// (steps joined by '/', the op, the value double-quoted).
+func FuzzCompileFilter(f *testing.F) {
+	for _, s := range []string{
+		`CustName = "Nobody"`, `CustName = "Ann"`, "NoSuchElem = 3", "ServiceName = 'x'",
+		`iname = "a<=b"`, `iname > "a=b"`, `iname = "x!=y"`,
+		"item/iname", "price >= 40.5", "quantity != 1", "", "= x", "iname = ",
+	} {
+		f.Add(s)
+	}
+	schemas := []*schema.Schema{schema.CustomerInfo(), schema.Auction()}
+	same := func(a, b *Filter) bool {
+		return a.op == b.op && a.value == b.value && slices.Equal(a.steps, b.steps)
+	}
+	f.Fuzz(func(t *testing.T, expr string) {
+		for _, sch := range schemas {
+			got, err := CompileFilter(expr, sch)
+			if err != nil {
+				continue
+			}
+			again, err := CompileFilter(got.Expr, sch)
+			if err != nil || !same(got, again) {
+				t.Fatalf("Expr %q of accepted %q does not recompile the same: %v", got.Expr, expr, err)
+			}
+			canon := strings.Join(got.steps, "/")
+			if got.op != "" {
+				canon += " " + got.op + ` "` + got.value + `"`
+			}
+			again, err = CompileFilter(canon, sch)
+			if err != nil || !same(got, again) {
+				t.Fatalf("canonical form %q of accepted %q does not recompile the same: %v", canon, expr, err)
+			}
+		}
+	})
 }

@@ -69,6 +69,15 @@ func (b *RelBackend) BuildIndexes() error { return b.Store.BuildIndexes() }
 // Clear implements Clearer by dropping every stored row.
 func (b *RelBackend) Clear() { b.Store.Clear() }
 
+// DeleteRoots implements RootDeleter.
+func (b *RelBackend) DeleteRoots(f *core.Fragment, ids []string) error {
+	_, err := b.Store.DeleteRoots(f, ids)
+	return err
+}
+
+// Generation implements RootDeleter.
+func (b *RelBackend) Generation() uint64 { return b.Store.Generation() }
+
 // Provider implements Backend.
 func (b *RelBackend) Provider() *core.StatsProvider {
 	card, bytes := b.Store.Stats()
@@ -217,6 +226,10 @@ type Endpoint struct {
 	deltaMu    sync.Mutex
 	deltaBases map[string]*deltaBase
 	deltaOff   bool
+	// applyMu serializes stream-tagged target applies: each checks the
+	// store generation its stream last left, updates the store and its
+	// base's root index, and records the generation again.
+	applyMu sync.Mutex
 
 	// recon holds, per delta stream this endpoint serves as a source, the
 	// record hashes of the snapshots it shipped — the bases its next
@@ -231,6 +244,12 @@ type Endpoint struct {
 type deltaBase struct {
 	epoch string
 	out   map[string]*core.Instance
+	// roots indexes out by the target output records it feeds; nil until
+	// the first warm delta of the lineage builds it.
+	roots *rootIndex
+	// gen is the backend's mutation generation right after the snapshot
+	// was applied (see RootDeleter).
+	gen uint64
 }
 
 // shipCalibration holds measured wire/tree size ratios for one codec:
@@ -594,23 +613,40 @@ func (e *Endpoint) deltaWarm(stream, epoch string) bool {
 
 // deltaBaseFor returns a stream's retained snapshot when its epoch
 // matches, else nil.
-func (e *Endpoint) deltaBaseFor(stream, epoch string) map[string]*core.Instance {
+func (e *Endpoint) deltaBaseFor(stream, epoch string) *deltaBase {
 	e.deltaMu.Lock()
 	defer e.deltaMu.Unlock()
 	if b := e.deltaBases[stream]; b != nil && b.epoch == epoch {
-		return b.out
+		return b
 	}
 	return nil
 }
 
-// storeDeltaBase retains a stream's just-executed snapshot as the base
-// the next delta patches against.
-func (e *Endpoint) storeDeltaBase(stream, epoch string, out map[string]*core.Instance) {
+// storeDeltaBase retains a stream's just-applied snapshot as the base the
+// next delta patches against.
+func (e *Endpoint) storeDeltaBase(stream string, b *deltaBase) {
 	e.deltaMu.Lock()
 	if !e.deltaOff {
-		e.deltaBases[stream] = &deltaBase{epoch: epoch, out: out}
+		e.deltaBases[stream] = b
 	}
 	e.deltaMu.Unlock()
+}
+
+// dropDeltaBase forgets a stream's base, so its next exchange ships in
+// full.
+func (e *Endpoint) dropDeltaBase(stream string) {
+	e.deltaMu.Lock()
+	delete(e.deltaBases, stream)
+	e.deltaMu.Unlock()
+}
+
+// generation reads the backend's mutation generation (0 for backends that
+// do not count).
+func (e *Endpoint) generation() uint64 {
+	if rd, ok := e.backend.(RootDeleter); ok {
+		return rd.Generation()
+	}
+	return 0
 }
 
 // clearBackend drops the backend's stored rows before a stream-tagged
@@ -661,10 +697,8 @@ func (e *Endpoint) executeSource(req *xmltree.Node, codec wire.Codec) (*xmltree.
 // "true"), the batch executor otherwise. Both have identical semantics;
 // the pipelined one overlaps stage execution.
 func sliceExecutor(req *xmltree.Node) func(*core.Graph, *schema.Schema, core.Assignment, core.Location, core.SliceIO) (map[string]*core.Instance, []core.OpTrace, error) {
-	if v, ok := req.Attr("pipelined"); ok && (v == "1" || v == "true") {
-		return core.ExecuteSlicePipelined
-	}
-	return core.ExecuteSlice
+	v, _ := req.Attr("pipelined")
+	return sliceExec(attrTrue(v))
 }
 
 // scanByElems resolves a plan fragment to this system's layout fragment by

@@ -12,6 +12,13 @@ package endpoint
 //     loading the backend twice;
 //   - SessionStatus reports the chunk checkpoint — the ack a reconnecting
 //     source resumes emission from.
+//
+// A session tagged stream="s" carries the stream's full logical snapshot,
+// shipped whole or, with delta="1", as a delta against the base the
+// endpoint retained from the stream's last exchange. A delta is patched
+// onto that base, and the target applies it incrementally when it can —
+// recomputing and replacing only the output records it touches (see
+// incremental.go) — or else replaces the stream's snapshot in the store.
 
 import (
 	"io"
@@ -423,7 +430,10 @@ func (ts *targetSession) hydrateLocked(lookup func(name string) *core.Fragment) 
 // ledger's checkpoint and dedup count onto the response, and replay the
 // stored response on retries of a completed execution. Execution runs
 // under the commit lock (mu) so duplicate requests wait and then replay,
-// but never under stateMu — SessionStatus probes answer throughout.
+// but never under stateMu — SessionStatus probes answer throughout. A
+// stream-tagged session goes through applyStream: a delta is patched onto
+// the stream's base and applied incrementally where it can be, anything
+// else replaces the stream's snapshot.
 func (t *targetScan) respondSession(w io.Writer) error {
 	ts := t.ts
 	if resp := ts.replay(); resp != nil {
@@ -454,35 +464,30 @@ func (t *targetScan) respondSession(w io.Writer) error {
 	if err := ts.drainPendingLocked(); err != nil {
 		return err
 	}
+	var base *deltaBase
 	run := ts.inbound
 	if t.delta {
-		base := t.e.deltaBaseFor(t.stream, t.epoch)
-		if base == nil {
+		if base = t.e.deltaBaseFor(t.stream, t.epoch); base == nil {
 			// The warm base vanished between delivery start and execute (a
 			// raced restart); the agency reacts with a full reship.
 			t.e.met.Counter("endpoint.delta.cold").Inc()
 			return soap.ColdDeltaFault("stream " + t.stream + " epoch " + t.epoch)
 		}
-		run = patchDelta(base, ts.inbound, ts.tombs)
+		detachRecords(ts.inbound)
+		run = patchDelta(base.out, ts.inbound, ts.tombs)
 		t.e.met.Counter("endpoint.delta.applies").Inc()
 	}
-	exec := run
-	if t.stream != "" {
-		// Stream-tagged exchanges carry (or patch up to) the full logical
-		// snapshot: replace the previous one instead of appending to it,
-		// and hand the executor copy-on-write views so the retained base
-		// never sees combine-time mutations.
-		t.e.clearBackend()
-		exec = shareInstances(run)
-	}
 	ts.setRunning(true)
-	resp, err := t.e.runTarget(t.g, t.a, exec, t.pipelined)
+	var resp *xmltree.Node
+	var err error
+	if t.stream != "" {
+		resp, err = t.e.applyStream(t, run, base)
+	} else {
+		resp, err = t.e.runTarget(t.g, t.a, run, t.pipelined)
+	}
 	ts.setRunning(false)
 	if err != nil {
 		return err
-	}
-	if t.stream != "" {
-		t.e.storeDeltaBase(t.stream, t.epoch, run)
 	}
 	resp.SetAttr("checkpoint", strconv.FormatInt(ts.ledger.Checkpoint(), 10))
 	resp.SetAttr("deduped", strconv.FormatInt(ts.ledger.Deduped(), 10))
@@ -502,12 +507,52 @@ func (t *targetScan) respondSession(w io.Writer) error {
 	return werr
 }
 
+// applyStream is the target step of a stream-tagged exchange, whose
+// shipment carries (or patches up to) the stream's full logical snapshot.
+// A warm delta (base set) is applied incrementally when it can be: only
+// the output records it touches are recomputed and replaced in the store
+// (applyIncremental). Otherwise the snapshot replaces the previous one —
+// clear the backend, execute the whole slice over copy-on-write views so
+// the retained records never see combine-time mutations — and the delta's
+// reason is counted under endpoint.delta.full. Either way the patched
+// snapshot becomes the stream's next base; a store update that fails part
+// way drops the base instead, so the next exchange ships in full.
+func (e *Endpoint) applyStream(t *targetScan, run map[string]*core.Instance, base *deltaBase) (*xmltree.Node, error) {
+	e.applyMu.Lock()
+	defer e.applyMu.Unlock()
+	if base != nil {
+		resp, roots, reason, err := e.applyIncremental(t.g, t.a, base, t.ts.inbound, t.ts.tombs, t.pipelined)
+		if err != nil {
+			e.dropDeltaBase(t.stream)
+			return nil, err
+		}
+		if reason == "" {
+			e.met.Counter("endpoint.delta.incremental").Inc()
+			e.storeDeltaBase(t.stream, &deltaBase{epoch: t.epoch, out: run, roots: roots, gen: e.generation()})
+			return resp, nil
+		}
+		e.met.Counter("endpoint.delta.full").Inc()
+		e.met.Counter("endpoint.delta.full." + reason).Inc()
+	}
+	e.clearBackend()
+	resp, err := e.runTarget(t.g, t.a, shareInstances(run), t.pipelined)
+	if err != nil {
+		return nil, err
+	}
+	e.storeDeltaBase(t.stream, &deltaBase{epoch: t.epoch, out: run, gen: e.generation()})
+	return resp, nil
+}
+
 // patchDelta overlays a delta shipment onto the retained base: per
 // shipped edge, tombstoned and re-shipped record IDs drop out of the base
 // and the inbound records append — the inverse of how the source derived
 // the delta, so the patched map equals the full shipment it stands in
 // for. Edges absent from the delta vanished from the source's output (all
-// their IDs are tombstoned) and are simply omitted.
+// their IDs are tombstoned) and are simply omitted. The patched map is the
+// stream's next base; the incremental apply re-runs the slice over only
+// the part of it under the output records the delta touches, in this same
+// order (base records first, shipped ones after), so the root index it
+// keeps stays in step with the map.
 func patchDelta(base, delta map[string]*core.Instance, tombs map[string][]string) map[string]*core.Instance {
 	out := make(map[string]*core.Instance, len(delta))
 	for key, din := range delta {
@@ -531,6 +576,19 @@ func patchDelta(base, delta map[string]*core.Instance, tombs map[string][]string
 		out[key] = &core.Instance{Frag: din.Frag, Records: recs}
 	}
 	return out
+}
+
+// detachRecords replaces every record with a heap copy. Delta records
+// join the stream's base and stay there for as long as they are current —
+// often hundreds of exchanges — while the shipment decoder carved them
+// from arena slabs shared with the rest of its delivery; copied out, a few
+// survivors no longer pin every slab they arrived in.
+func detachRecords(in map[string]*core.Instance) {
+	for _, inst := range in {
+		for i, rec := range inst.Records {
+			inst.Records[i] = rec.Clone()
+		}
+	}
 }
 
 // shareInstances wraps every instance in a copy-on-write view (see

@@ -25,14 +25,18 @@ import (
 // ChunkDone), so an endpoint plugs a ledger straight into the decoder.
 type Ledger struct {
 	mu      sync.Mutex
-	next    int64           // lowest chunk seq not yet fully received
-	seen    map[string]bool // edge\x00recordID pairs committed
+	next    int64              // lowest chunk seq not yet fully received
+	seen    map[ledgerKey]bool // (edge, record ID) pairs committed
 	deduped int64
 }
 
+// ledgerKey identifies one committed record: a comparable struct, so
+// marking and probing a pair builds no concatenated string per record.
+type ledgerKey struct{ edge, id string }
+
 // NewLedger returns an empty ledger expecting chunk 0.
 func NewLedger() *Ledger {
-	return &Ledger{seen: make(map[string]bool)}
+	return &Ledger{seen: make(map[ledgerKey]bool)}
 }
 
 // AdmitChunk reports whether a chunk with this seq should be consumed:
@@ -68,7 +72,7 @@ func (l *Ledger) KeepRecord(edge string, rec *xmltree.Node) bool {
 	if rec.ID == "" {
 		return true
 	}
-	key := edge + "\x00" + rec.ID
+	key := ledgerKey{edge, rec.ID}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.seen[key] {
@@ -99,7 +103,7 @@ func (l *Ledger) MarkSeen(edge, id string) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.seen[edge+"\x00"+id] = true
+	l.seen[ledgerKey{edge, id}] = true
 }
 
 // Unmark forgets a committed (edge, record ID) pair. It is the rollback
@@ -112,7 +116,7 @@ func (l *Ledger) Unmark(edge, id string) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	delete(l.seen, edge+"\x00"+id)
+	delete(l.seen, ledgerKey{edge, id})
 }
 
 // Checkpoint returns the next chunk seq the session expects — the ack a

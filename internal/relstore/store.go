@@ -22,6 +22,16 @@ import (
 // pair — stores one row per repeated-subtree instance (or a single row with
 // empty repeat columns when none exist). Fragments with more than one
 // internal repetition are rejected.
+//
+// Rows change in three ways: Load appends a fragment instance's rows,
+// DeleteRoots drops every row of the named fragment-root instances, and
+// Clear drops everything. Each call advances the store's mutation
+// generation (Generation), so a caller that applied its own changes can
+// later tell whether anyone else wrote in between. A Load into an
+// unindexed table (say, after Clear) is a bulk load that leaves indexing
+// to BuildIndexes, the paper's separate step; a Load into an indexed table
+// maintains its indexes row by row, as does DeleteRoots on a flat table.
+// BuildIndexes rebuilds only the tables left without indexes.
 type Store struct {
 	// Layout is the fragmentation the store is organized by.
 	Layout *core.Fragmentation
@@ -29,6 +39,7 @@ type Store struct {
 	mu     sync.RWMutex
 	tables map[string]*Table
 	descs  map[string]*tableDesc
+	gen    uint64 // mutation generation: Load, DeleteRoots and Clear count
 }
 
 // tableDesc records how a fragment maps onto its table.
@@ -150,17 +161,67 @@ func (s *Store) Load(in *core.Instance) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.gen++
 	t := s.tables[name]
 	d := s.descs[name]
 	sh := &shredder{t: t, d: d, slab: rowSlab{width: len(t.Cols)}, base: make([]string, len(t.Cols))}
 	rows := make([][]string, 0, len(in.Records))
 	var err error
-	for _, rec := range in.Records {
+	for i, rec := range in.Records {
+		sh.slab.left, sh.slab.recs = len(in.Records)-i, i
 		if rows, err = sh.record(rec, rows); err != nil {
 			return err
 		}
 	}
+	if t.indexes[d.frag.Root+"$id"] != nil && t.indexes["$parent"] != nil {
+		// The table is indexed already (an incremental apply): keep the
+		// indexes current, O(new rows), instead of dropping them for a
+		// rebuild over every row.
+		for _, r := range rows {
+			if err := t.Insert(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	return t.BulkLoad(rows)
+}
+
+// DeleteRoots drops every row of the named fragment's table whose
+// fragment-root identifier is in ids — all rows of a denormalized record.
+// An indexed flat table keeps its indexes current (the last rows move into
+// the holes, so row order changes); a denormalized or unindexed one is
+// compacted in order and its indexes are dropped for BuildIndexes to
+// rebuild. The dropped rows' values are cleared so their strings can be
+// freed even while a surviving row keeps their shared slab alive. It
+// reports how many rows it dropped; unknown identifiers are ignored.
+func (s *Store) DeleteRoots(f *core.Fragment, ids []string) (int, error) {
+	name := s.layoutName(f)
+	if name == "" {
+		return 0, fmt.Errorf("relstore: no layout fragment matching %q", f.Name)
+	}
+	drop := make(map[string]bool, len(ids))
+	for _, id := range ids {
+		if id == "" {
+			id = "-" // how fill stores an instance without identifier
+		}
+		drop[id] = true
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.gen++
+	d := s.descs[name]
+	// Rows of a denormalized record must stay contiguous (ScanFragment
+	// regroups them), so only flat tables fill holes from the end.
+	return s.tables[name].deleteWhere(d.frag.Root+"$id", drop, d.repRoot != ""), nil
+}
+
+// Generation returns the store's mutation generation: it advances on every
+// Load, DeleteRoots and Clear, and on nothing else.
+func (s *Store) Generation() uint64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.gen
 }
 
 func (s *Store) layoutName(f *core.Fragment) string {
@@ -172,24 +233,35 @@ func (s *Store) layoutName(f *core.Fragment) string {
 	return ""
 }
 
-// rowSlabRows sizes the shared backing arrays rowSlab carves rows from:
-// large enough to amortize the allocation across a load, small enough not
-// to overcommit on tiny instances.
-const rowSlabRows = 256
-
-// rowSlab carves fixed-width rows out of large shared backing arrays.
-// Rows of one Load are retained — and later dropped — together by their
-// table, so sharing backing slabs leaks nothing, and shredding stops
-// paying one allocation per row.
+// rowSlab carves fixed-width rows out of shared backing arrays sized to
+// the load, so shredding stops paying one allocation per row. Rows of one
+// Load share slabs; DeleteRoots can later drop some of them, and a
+// surviving row then keeps its whole slab reachable. Sizing slabs to the
+// load (rather than a fixed row count) bounds that: a load of a few
+// records — an incremental apply — pins a few rows' worth, not hundreds.
 type rowSlab struct {
 	buf   []string
 	width int
+	// left is how many records of the load are still to shred (the one
+	// being shredded included), recs how many are done and rows how many
+	// rows they took, so a refill can extrapolate the rows per record.
+	left       int
+	rows, recs int
 }
 
 func (sl *rowSlab) row() []string {
 	if len(sl.buf) < sl.width {
-		sl.buf = make([]string, sl.width*rowSlabRows)
+		// Denormalized records yield several rows each: scale by the rows
+		// per record seen so far (or, within the first record, double).
+		n := max(sl.left, 1)
+		if sl.recs > 0 {
+			n *= (sl.rows + sl.recs - 1) / sl.recs
+		} else {
+			n = max(n, sl.rows)
+		}
+		sl.buf = make([]string, sl.width*n)
 	}
+	sl.rows++
 	r := sl.buf[:sl.width:sl.width]
 	sl.buf = sl.buf[sl.width:]
 	return r
@@ -441,12 +513,16 @@ func (s *Store) ScanFragmentWhere(fragName, leafElem, value string) (*core.Insta
 
 // BuildIndexes creates hash indexes on the root identifier and the parent
 // foreign key of every table — the paper's "update indexes at the target"
-// step (Table 4).
+// step (Table 4). Tables whose indexes are intact (no Load, DeleteRoots or
+// Clear since the last build) are skipped, so the step costs what changed.
 func (s *Store) BuildIndexes() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, f := range s.Layout.Fragments {
 		t := s.tables[f.Name]
+		if t.indexes[f.Root+"$id"] != nil && t.indexes["$parent"] != nil {
+			continue
+		}
 		if _, err := t.CreateIndex(f.Root + "$id"); err != nil {
 			return err
 		}
@@ -484,6 +560,7 @@ func (s *Store) ByteSize() int64 {
 func (s *Store) Clear() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.gen++
 	for name, t := range s.tables {
 		nt, _ := NewTable(t.Name, t.Cols)
 		s.tables[name] = nt

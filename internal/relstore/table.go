@@ -73,6 +73,59 @@ func (t *Table) BulkLoad(rows [][]string) error {
 	return nil
 }
 
+// deleteWhere drops every row whose col value is in keys, clears the
+// dropped rows' values, and returns how many it dropped. With an index on
+// col and keepOrder unset, each dropped row is filled by the table's last
+// row and every index is maintained in place — O(dropped rows). Otherwise
+// the survivors are compacted in order and the indexes dropped for a
+// rebuild (row positions shift).
+func (t *Table) deleteWhere(col string, keys map[string]bool, keepOrder bool) int {
+	idx := t.indexes[col]
+	if idx == nil || keepOrder {
+		ci := t.ColIndex(col)
+		kept := t.rows[:0]
+		for _, r := range t.rows {
+			if keys[r[ci]] {
+				clear(r)
+				continue
+			}
+			kept = append(kept, r)
+		}
+		n := len(t.rows) - len(kept)
+		if n > 0 {
+			clear(t.rows[len(kept):])
+			t.rows = kept
+			t.indexes = make(map[string]*Index)
+		}
+		return n
+	}
+	var pos []int
+	for k := range keys {
+		pos = append(pos, idx.m[k]...)
+	}
+	// Highest position first: the last row, moved into each hole, is then
+	// never one still waiting to be dropped.
+	sort.Sort(sort.Reverse(sort.IntSlice(pos)))
+	for _, p := range pos {
+		row := t.rows[p]
+		for _, ix := range t.indexes {
+			ix.move(row, p, -1)
+		}
+		last := len(t.rows) - 1
+		if p != last {
+			moved := t.rows[last]
+			for _, ix := range t.indexes {
+				ix.move(moved, last, p)
+			}
+			t.rows[p] = moved
+		}
+		t.rows[last] = nil
+		t.rows = t.rows[:last]
+		clear(row)
+	}
+	return len(pos)
+}
+
 // Len returns the number of rows.
 func (t *Table) Len() int { return len(t.rows) }
 
@@ -151,6 +204,29 @@ func (t *Table) Lookup(col, key string) ([][]string, error) {
 
 func (idx *Index) add(row []string, at int) {
 	idx.m[row[idx.col]] = append(idx.m[row[idx.col]], at)
+}
+
+// move repoints row's entry from position from to position to, or removes
+// it when to is negative.
+func (idx *Index) move(row []string, from, to int) {
+	key := row[idx.col]
+	at := idx.m[key]
+	for i, p := range at {
+		if p != from {
+			continue
+		}
+		if to >= 0 {
+			at[i] = to
+			return
+		}
+		at[i] = at[len(at)-1]
+		if at = at[:len(at)-1]; len(at) == 0 {
+			delete(idx.m, key)
+		} else {
+			idx.m[key] = at
+		}
+		return
+	}
 }
 
 // HashJoin joins left and right on left.leftCol = right.rightCol and
