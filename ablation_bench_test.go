@@ -63,23 +63,6 @@ func BenchmarkAblation_ExecuteSequential(b *testing.B) {
 	}
 }
 
-func BenchmarkAblation_ExecuteParallel(b *testing.B) {
-	m, _ := ablationSetup(b)
-	g, err := core.CanonicalProgram(m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		src := freshSources(b, m, 3)
-		b.StartTimer()
-		if _, err := core.ExecuteParallel(g, m.Source.Schema, src); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkAblation_OrderingCanonical(b *testing.B) {
 	m, _ := ablationSetup(b)
 	b.ResetTimer()

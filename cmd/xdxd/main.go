@@ -28,9 +28,8 @@ func main() {
 	bandwidth := flag.Float64("bandwidth", 0, "modeled source->target bandwidth in bytes/sec (0 = unlimited)")
 	latency := flag.Duration("latency", 0, "modeled link latency")
 	state := flag.String("state", "", "directory for persisted registrations (survives restarts)")
-	streamed := flag.Bool("streamed", false, "drive exchanges over the zero-materialization wire path")
 	codec := flag.String("codec", "", "default shipment codec: xml, feed, bin, or bin+flate")
-	reliab := flag.Bool("reliable", false, "retry, resume, and circuit-break exchanges (implies the streamed wire path)")
+	reliab := flag.Bool("reliable", false, "retry, resume, and circuit-break exchanges (off: one attempt per call)")
 	retryAttempts := flag.Int("retry-attempts", 0, "max attempts per call (0 = default 4)")
 	retryBudget := flag.Int("retry-budget", 0, "total retries allowed per exchange (0 = default 16)")
 	attemptTimeout := flag.Duration("attempt-timeout", 0, "per-attempt SOAP call timeout (0 = client default)")
@@ -38,15 +37,14 @@ func main() {
 	breakerFailures := flag.Int("breaker-failures", 0, "consecutive failures before an endpoint's circuit opens (0 = default 5)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "how long an open circuit fails fast (0 = default 1s)")
 	retrySeed := flag.Int64("retry-seed", 0, "seed for backoff jitter and session IDs (reproducible runs)")
-	codecWorkers := flag.Int("codec-workers", 0, "chunk codec pool size per shipment (0 = one per CPU, 1 = serial)")
 	exchangeWorkers := flag.Int("exchange-workers", 0, "concurrent exchange pool size (0 = 8 per GOMAXPROCS, negative = no pool: serial legacy driving)")
 	exchangeQueue := flag.Int("exchange-queue", 0, "bounded exchange FIFO depth; submissions beyond it are shed with a 503 fault (0 = 2x workers)")
 	tenantInflight := flag.Int("tenant-inflight", 0, "max queued+running exchanges per tenant before shedding (0 = unlimited)")
 	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant exchange admission rate per second, token-bucket (0 = unlimited)")
 	tenantBurst := flag.Int("tenant-burst", 0, "per-tenant token-bucket burst capacity (0 = ceil(rate))")
 	planCache := flag.Bool("plan-cache", true, "cache derived plan templates per fragmentation pair, invalidated on re-registration")
-	delta := flag.Bool("delta", false, "ship repeat exchanges as deltas against the target's retained base (requires -reliable)")
-	filter := flag.String("filter", "", "source-side pushdown filter, e.g. '/Customer/CustName=\"Ann\"' (per-request filter attr overrides)")
+	delta := flag.Bool("delta", false, "ship repeat exchanges as deltas against the target's retained base")
+	filter := flag.String("filter", "", "source-side pushdown filter, e.g. 'CustName = \"Ann\"' (per-request filter attr overrides)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz, and /debug/pprof on this address (empty = off)")
 	verbose := flag.Bool("v", false, "log exchange activity (retries, breaker transitions, outcomes) to stderr")
 	flag.Parse()
@@ -64,8 +62,6 @@ func main() {
 	}
 	agency.SetPlanCache(*planCache)
 	svc := registry.NewService(agency, link)
-	svc.Streamed = *streamed
-	svc.ParallelChunks = *codecWorkers
 	if *exchangeWorkers >= 0 {
 		sched := registry.NewScheduler(registry.SchedulerConfig{
 			Workers:        *exchangeWorkers,
@@ -105,9 +101,6 @@ func main() {
 		log.Printf("xdxd: reliable exchanges on (chunk=%d)", cfg.ChunkSize)
 	}
 	if *delta {
-		if !*reliab {
-			log.Fatal("xdxd: -delta requires -reliable")
-		}
 		svc.Delta = true
 		log.Printf("xdxd: delta exchanges on")
 	}

@@ -32,5 +32,4 @@ func benchExec(b *testing.B, exec func(*core.Graph, *schema.Schema, map[string]*
 }
 
 func BenchmarkExecSequential(b *testing.B) { benchExec(b, core.Execute) }
-func BenchmarkExecParallel(b *testing.B)   { benchExec(b, core.ExecuteParallel) }
 func BenchmarkExecPipelined(b *testing.B)  { benchExec(b, core.ExecutePipelined) }

@@ -121,6 +121,27 @@ func Execute(g *Graph, sch *schema.Schema, sources map[string]*Instance) (*ExecR
 	return res, nil
 }
 
+// EqualWritten reports whether two execution results wrote the same
+// fragment instances (same rows per fragment, shape-equal records); used
+// to verify that the executors are semantics-preserving.
+func EqualWritten(a, b *ExecResult) bool {
+	if len(a.Written) != len(b.Written) {
+		return false
+	}
+	for name, ia := range a.Written {
+		ib := b.Written[name]
+		if ib == nil || ia.Rows() != ib.Rows() {
+			return false
+		}
+		for i := range ia.Records {
+			if !xmltree.EqualShape(ia.Records[i], ib.Records[i]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // SummarizeTraces renders per-operation execution times as an aligned
 // text table, for operators inspecting where an exchange spent its time.
 func SummarizeTraces(traces []OpTrace) string {

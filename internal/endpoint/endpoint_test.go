@@ -1,6 +1,7 @@
 package endpoint
 
 import (
+	"errors"
 	"math"
 	"net/http/httptest"
 	"strconv"
@@ -188,14 +189,20 @@ func TestExecuteSourceAndTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ms, ok := respS.Attr("queryMillis"); !ok || ms == "" {
-		t.Error("missing queryMillis")
-	}
-	var shipment *xmltree.Node
+	var shipment, timing *xmltree.Node
 	for _, k := range respS.Kids {
-		if k.Name == "shipment" {
+		switch k.Name {
+		case "shipment":
 			shipment = k
+		case "timing":
+			timing = k
 		}
+	}
+	if timing == nil {
+		t.Fatal("response lacks its timing trailer")
+	}
+	if ms, ok := timing.Attr("queryMillis"); !ok || ms == "" {
+		t.Error("missing queryMillis")
 	}
 	if shipment == nil || len(shipment.Kids) != fr.Len() {
 		t.Fatalf("shipment has %d instances, want %d", len(shipment.Kids), fr.Len())
@@ -205,6 +212,7 @@ func TestExecuteSourceAndTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	reqT := &xmltree.Node{Name: "ExecuteTarget"}
+	reqT.SetAttr("session", "s1")
 	reqT.AddKid(prog2)
 	reqT.AddKid(shipment)
 	respT, err := tgtClient.Call("ExecuteTarget", reqT)
@@ -253,9 +261,50 @@ func TestExecuteTargetMissingShipment(t *testing.T) {
 	}
 	progXML, _ := wire.EncodeProgram(g, a)
 	req := &xmltree.Node{Name: "ExecuteTarget"}
+	req.SetAttr("session", "s1")
 	req.AddKid(progXML)
-	if _, err := c.Call("ExecuteTarget", req); err == nil {
-		t.Error("missing shipment must fault")
+	if _, err := c.Call("ExecuteTarget", req); err == nil || !strings.Contains(err.Error(), "missing shipment") {
+		t.Errorf("missing shipment must fault, got %v", err)
+	}
+}
+
+// TestExecuteTargetRequiresSession: every delivery rides a session, so a
+// sessionless ExecuteTarget — program and shipment complete — is refused
+// with a soap:Client fault before anything reaches the store.
+func TestExecuteTargetRequiresSession(t *testing.T) {
+	sch := schema.CustomerInfo()
+	fr := tFrag(t, sch)
+	srcClient, srcDone := startEndpoint(t, &RelBackend{Store: loadedStore(t, fr), Speed: 1, CanCombine: true})
+	defer srcDone()
+	tgtStore := loadedStore(t, fr)
+	rows := tgtStore.Rows()
+	tgtClient, tgtDone := startEndpoint(t, &RelBackend{Store: tgtStore, Speed: 1, CanCombine: true})
+	defer tgtDone()
+
+	_, _, progXML := scanWriteProgram(t, fr)
+	reqS := &xmltree.Node{Name: "ExecuteSource"}
+	reqS.AddKid(progXML)
+	respS, err := srcClient.Call("ExecuteSource", reqS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := &xmltree.Node{Name: "ExecuteTarget"}
+	req.AddKid(progXML)
+	for _, k := range respS.Kids {
+		if k.Name == "shipment" {
+			req.AddKid(k)
+		}
+	}
+	if len(req.Kids) != 2 {
+		t.Fatal("source returned no shipment")
+	}
+	_, err = tgtClient.Call("ExecuteTarget", req)
+	var f *soap.Fault
+	if !errors.As(err, &f) || f.Code != "soap:Client" {
+		t.Fatalf("sessionless ExecuteTarget answered %v, want a soap:Client fault", err)
+	}
+	if got := tgtStore.Rows(); got != rows {
+		t.Errorf("refused delivery changed the store: %d rows, had %d", got, rows)
 	}
 }
 
@@ -374,22 +423,29 @@ func TestExecuteSourceWithFilter(t *testing.T) {
 	}
 	progXML, _ := wire.EncodeProgram(g, a)
 	req := &xmltree.Node{Name: "ExecuteSource"}
-	req.SetAttr("filterElem", "CustName")
-	req.SetAttr("filterValue", "NoSuchCustomer")
+	req.SetAttr("filter", `CustName = "NoSuchCustomer"`)
 	req.AddKid(progXML)
-	resp, err := c.Call("ExecuteSource", req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range resp.Kids {
-		if k.Name != "shipment" {
-			continue
+	shipped := func() int {
+		resp, err := c.Call("ExecuteSource", req)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, ix := range k.Kids {
-			if len(ix.Kids) != 0 {
-				t.Errorf("filtered-out exchange still shipped records")
+		n := 0
+		for _, k := range resp.Kids {
+			if k.Name == "shipment" {
+				for _, ix := range k.Kids {
+					n += len(ix.Kids)
+				}
 			}
 		}
+		return n
+	}
+	if n := shipped(); n != 0 {
+		t.Errorf("filtered-out exchange still shipped %d records", n)
+	}
+	req.SetAttr("filter", `CustName = "Ann"`)
+	if n := shipped(); n == 0 {
+		t.Error("a filter matching the stored customer shipped nothing")
 	}
 }
 

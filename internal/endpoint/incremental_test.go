@@ -714,14 +714,8 @@ func TestIncrementalFallbackMutated(t *testing.T) {
 	}
 }
 
-// TestIncrementalFallbackEdge: a delta without one of the slice's inbound
-// edges cannot be applied by root; it takes the full path, which fails
-// the delivery as it always did. The next delta finds the store changed
-// under it and replaces the snapshot in full, correctly.
-func TestIncrementalFallbackEdge(t *testing.T) {
-	r, c := fallbackRig(t, false, nil)
-	defer r.done()
-	r.apply(c, []string{"upd:iname"})
+// dropEdge makes the next delta lack the slice's mailbox edge.
+func (r *incRig) dropEdge() {
 	r.edit = func(recs map[string]*core.Instance, _ map[string][]string) {
 		for k := range recs {
 			if strings.HasSuffix(k, "mailbox") {
@@ -729,16 +723,53 @@ func TestIncrementalFallbackEdge(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestIncrementalFallbackEdge: a delta without one of the slice's inbound
+// edges cannot be applied by root; it takes the full path, which fails
+// the delivery as it always did.
+func TestIncrementalFallbackEdge(t *testing.T) {
+	r, c := fallbackRig(t, false, nil)
+	defer r.done()
+	r.apply(c, []string{"upd:iname"})
+	r.dropEdge()
 	if err := r.exchange(); err == nil {
 		t.Fatal("a delta without an inbound edge was applied")
 	}
 	r.expectFull(fullEdge, 1)
-	r.apply(c, []string{"del:item"})
+}
+
+// TestFullApplyFailureDropsBase: the full path clears the store before it
+// executes, so a stream-tagged delivery whose execute fails leaves the
+// store without the base's rows. The stream must turn cold at once —
+// DeltaStatus answers cold, not warm over a near-empty store — and the
+// full re-ship the agency then sends must restore the snapshot.
+func TestFullApplyFailureDropsBase(t *testing.T) {
+	r, c := fallbackRig(t, false, nil)
+	defer r.done()
+	r.apply(c, []string{"upd:iname", "del:item"})
+	r.dropEdge()
+	if err := r.exchange(); err == nil {
+		t.Fatal("a delta without an inbound edge was applied")
+	}
+	req := &xmltree.Node{Name: "DeltaStatus"}
+	req.SetAttr("stream", r.stream)
+	req.SetAttr("epoch", "e1")
+	resp, err := r.client.Call("DeltaStatus", req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm, _ := resp.Attr("warm"); warm != "0" {
+		t.Fatalf("DeltaStatus warm=%q after a failed full apply, want cold", warm)
+	}
+	r.prev = nil // the agency's answer to a cold target: ship in full
 	if err := r.exchange(); err != nil {
 		t.Fatal(err)
 	}
-	r.expectFull(fullMutated, 1)
-	r.check("after edge fallback")
+	r.check("full reship after a failed full apply")
+	if n := r.counter("endpoint.delta.full." + fullMutated); n != 0 {
+		t.Errorf("the full re-ship was counted as a delta fallback (%d)", n)
+	}
 }
 
 // TestIncrementalFallbackUnresolved: a tombstone naming an ID the base

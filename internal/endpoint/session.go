@@ -1,8 +1,9 @@
 package endpoint
 
 // Resumable ExecuteTarget sessions (the reliable-exchange subsystem's
-// endpoint side). A caller that tags ExecuteTarget with session="id" opts
-// into at-most-once delivery semantics across reconnects:
+// endpoint side). Every ExecuteTarget names its session="id" — a request
+// without one is refused — and gets at-most-once delivery semantics
+// across reconnects:
 //
 //   - the shipment decoder commits chunks into a per-session instance map,
 //     guarded by the session's idempotency ledger, so chunks that survived
@@ -537,6 +538,8 @@ func (e *Endpoint) applyStream(t *targetScan, run map[string]*core.Instance, bas
 	e.clearBackend()
 	resp, err := e.runTarget(t.g, t.a, shareInstances(run), t.pipelined)
 	if err != nil {
+		// The store was cleared, so the old base no longer describes it.
+		e.dropDeltaBase(t.stream)
 		return nil, err
 	}
 	e.storeDeltaBase(t.stream, &deltaBase{epoch: t.epoch, out: run, gen: e.generation()})

@@ -4,15 +4,14 @@ package endpoint
 // the SOAP server's streaming path, so the endpoint never materializes an
 // envelope:
 //
-//   - ExecuteSource consumes the (small) request tree and, when the caller
-//     asks for stream="1", serializes the outbound shipment directly onto
-//     the HTTP response as the slice executes — with the pipelined engine
-//     records hit the wire while upstream operators still produce.
-//   - ExecuteTarget always scans its (large) request as SAX events: the
-//     program subtree is materialized, the shipment subtree flows straight
-//     into the streaming shipment decoder, and the envelope tree is never
-//     built. Buffered and streaming clients produce the same bytes, so one
-//     request path serves both.
+//   - ExecuteSource consumes the (small) request tree and serializes the
+//     outbound shipment directly onto the HTTP response as the slice
+//     executes — with the pipelined engine records hit the wire while
+//     upstream operators still produce — followed by a <timing> trailer.
+//   - ExecuteTarget scans its (large) request as SAX events: the program
+//     subtree is materialized, the shipment subtree flows straight into
+//     the session's streaming shipment decoder, and the envelope tree is
+//     never built. Every delivery names a session (see session.go).
 
 import (
 	"fmt"
@@ -44,30 +43,10 @@ func findAttr(attrs []xmltree.Attr, name string) string {
 	return ""
 }
 
-// executeSourceStream is the stream dispatch for ExecuteSource. Requests
-// without stream="1" take the legacy tree path (materialize request,
-// build response tree); with it, the response shipment streams. Either
-// way the reply's shipment codec is resolved the same: envelope
-// negotiation first, payload attributes as the fallback.
+// executeSourceStream is the stream dispatch for ExecuteSource: the
+// request tree is built, then the response shipment streams.
 func (e *Endpoint) executeSourceStream(env soap.Header, attrs []xmltree.Attr) (xmltree.AttrHandler, soap.RespondFunc, error) {
-	streamed := attrTrue(findAttr(attrs, "stream"))
 	tb := &xmltree.TreeBuilder{}
-	if !streamed {
-		return tb, func(w io.Writer) error {
-			codec, negotiated, err := e.pickCodec(env, tb.Root())
-			if err != nil {
-				return err
-			}
-			if negotiated {
-				stampCodec(w, codec)
-			}
-			resp, err := e.executeSource(tb.Root(), codec)
-			if err != nil {
-				return err
-			}
-			return xmltree.Write(w, resp, xmltree.WriteOptions{EmitAllIDs: true})
-		}, nil
-	}
 	return tb, func(w io.Writer) error { return e.respondSourceStream(env, tb.Root(), w) }, nil
 }
 
@@ -171,8 +150,7 @@ func (e *Endpoint) respondSourceStream(env soap.Header, req *xmltree.Node, w io.
 }
 
 // sourceDelta is the source half of a delta-enabled ExecuteSource. The
-// request names the exchange stream (deltaStream — the plain stream
-// attribute already selects the streamed response), the fragmentation
+// request names the exchange stream (deltaStream), the fragmentation
 // epoch, the session (the token the shipped snapshot goes by) and, when
 // the target holds one, the base token it last acked. Each record of the
 // fresh slice output is hashed once; when this endpoint holds the base
@@ -297,7 +275,7 @@ var xmlAttr = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "
 // incrementally.
 func (e *Endpoint) executeTargetStream(env soap.Header, attrs []xmltree.Attr) (xmltree.AttrHandler, soap.RespondFunc, error) {
 	h := &targetScan{e: e}
-	return h, h.respond, nil
+	return h, h.respondSession, nil
 }
 
 // targetScan routes an ExecuteTarget request's subtrees: <program> into a
@@ -339,18 +317,17 @@ func (t *targetScan) StartElement(name string, attrs []xmltree.Attr) error {
 	t.depth++
 	switch t.depth {
 	case 1:
-		t.pipelined = attrTrue(findAttr(attrs, "pipelined"))
-		if id := findAttr(attrs, "session"); id != "" {
-			t.ts = t.e.targetSessionFor(id)
-			t.ts.beginReceive()
+		id := findAttr(attrs, "session")
+		if id == "" {
+			return &soap.Fault{Code: "soap:Client", String: "ExecuteTarget requires a session"}
 		}
+		t.ts = t.e.targetSessionFor(id)
+		t.ts.beginReceive()
+		t.pipelined = attrTrue(findAttr(attrs, "pipelined"))
 		t.stream = findAttr(attrs, "stream")
 		t.epoch = findAttr(attrs, "epoch")
 		t.delta = attrTrue(findAttr(attrs, "delta"))
 		if t.delta {
-			if t.ts == nil {
-				return &soap.Fault{Code: "soap:Client", String: "delta shipment requires a session"}
-			}
 			// Fail the delivery before any chunk flows: without a warm
 			// base the delta cannot be applied, and the agency's fallback
 			// is a full reship on a fresh session.
@@ -454,38 +431,12 @@ func (t *targetScan) programDone() error {
 		frags[ed.Frag.Name] = ed.Frag
 	}
 	lookup := func(name string) *core.Fragment { return frags[name] }
-	if t.ts != nil {
-		// Session mode: decode into the session's accumulating map, with
-		// the ledger guarding chunk admission and record dedup.
-		t.dec = t.ts.decoder(t.e.backend.Layout().Schema, lookup)
-	} else {
-		t.dec = wire.NewShipmentDecoder(t.e.backend.Layout().Schema, lookup)
-	}
+	// Decode into the session's accumulating map, with the ledger guarding
+	// chunk admission and record dedup.
+	t.dec = t.ts.decoder(t.e.backend.Layout().Schema, lookup)
 	t.dec.Workers = t.e.codecWorkers
 	t.dec.Met = t.e.met
 	return nil
-}
-
-// respond runs the target slice once the request is fully consumed.
-func (t *targetScan) respond(w io.Writer) error {
-	if t.ts != nil {
-		return t.respondSession(w)
-	}
-	if t.g == nil {
-		return &soap.Fault{Code: "soap:Client", String: "missing program"}
-	}
-	if !t.sawShipment {
-		return &soap.Fault{Code: "soap:Client", String: "missing shipment"}
-	}
-	inbound, err := t.dec.Result()
-	if err != nil {
-		return err
-	}
-	resp, err := t.e.runTarget(t.g, t.a, inbound, t.pipelined)
-	if err != nil {
-		return err
-	}
-	return xmltree.Write(w, resp, xmltree.WriteOptions{EmitAllIDs: true})
 }
 
 // runTarget executes the target slice over decoded inbound instances,

@@ -31,17 +31,11 @@ func benchExchange(b *testing.B, opts ExecOptions) {
 	}
 }
 
-// BenchmarkSoapRoundTripBuffered materializes every envelope: response
-// trees on the source hop, a fully built request tree on the target hop.
-func BenchmarkSoapRoundTripBuffered(b *testing.B) {
+// BenchmarkSoapRoundTrip drives the plain exchange end to end: the source
+// streams its sequenced chunks onto its response, the agency relays them
+// verbatim into a target session, and no envelope tree is built.
+func BenchmarkSoapRoundTrip(b *testing.B) {
 	benchExchange(b, ExecOptions{Link: netsim.Loopback()})
-}
-
-// BenchmarkSoapRoundTripStreamed uses the zero-materialization wire path
-// end to end: shipments stream onto responses and through io.Pipe request
-// bodies without intermediate trees.
-func BenchmarkSoapRoundTripStreamed(b *testing.B) {
-	benchExchange(b, ExecOptions{Link: netsim.Loopback(), Streamed: true})
 }
 
 // BenchmarkReliableExchangeDurable measures the durability tax on a full

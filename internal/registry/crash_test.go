@@ -29,6 +29,7 @@ import (
 	"xdx/internal/reliable"
 	"xdx/internal/relstore"
 	"xdx/internal/schema"
+	"xdx/internal/wire"
 	"xdx/internal/xmark"
 	"xdx/internal/xmltree"
 )
@@ -128,16 +129,8 @@ func TestDurableEndpointRestartResumes(t *testing.T) {
 }
 
 func testDurableEndpointRestartResumes(t *testing.T, pol durable.FsyncPolicy) {
-	// Baseline: what the target must hold after an uninterrupted run.
-	agA, planA, tgtA, _, doneA := startAuctionExchange(t)
-	if _, err := agA.ExecuteOpts("Auction", planA, ExecOptions{Link: netsim.Loopback(), Streamed: true}); err != nil {
-		t.Fatal(err)
-	}
-	want := assembleTarget(t, tgtA)
-	doneA()
-
 	sch := xmark.Schema()
-	doc := xmark.Generate(xmark.Config{TargetBytes: 60_000, Seed: 42})
+	doc := auctionDoc()
 	sFr := core.MostFragmented(sch)
 	tFr := core.LeastFragmented(sch)
 	srcStore, err := relstore.NewStore(sFr)
@@ -225,8 +218,8 @@ func testDurableEndpointRestartResumes(t *testing.T, pol durable.FsyncPolicy) {
 		t.Errorf("DedupedRecords = %d, want 0 — resume re-shipped committed chunks", rep.DedupedRecords)
 	}
 	got := assembleTarget(t, tgtStoreB)
-	if !xmltree.Equal(want, got) {
-		t.Error("restarted target's contents differ from the uninterrupted run")
+	if !xmltree.Equal(auctionOracle(t, plan), got) {
+		t.Error("restarted target's contents differ from an uninterrupted exchange")
 	}
 }
 
@@ -308,46 +301,15 @@ func TestKillRestartChildEndpoint(t *testing.T) {
 	sFr := core.MostFragmented(sch)
 	tFr := core.LeastFragmented(sch)
 
-	// Baseline: uninterrupted exchange into an in-process LF target.
-	mkSource := func() *httptest.Server {
-		st, err := relstore.NewStore(sFr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := st.LoadDocument(doc.Clone()); err != nil {
-			t.Fatal(err)
-		}
-		ep := endpoint.New("S", &endpoint.RelBackend{Store: st, Speed: 1, CanCombine: true}, nil)
-		srv := httptest.NewServer(ep.Handler())
-		t.Cleanup(srv.Close)
-		return srv
-	}
-	baseTgt, err := relstore.NewStore(tFr)
+	srcStore, err := relstore.NewStore(sFr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseEP := endpoint.New("T0", &endpoint.RelBackend{Store: baseTgt, Speed: 1, CanCombine: true}, nil)
-	baseSrv := httptest.NewServer(baseEP.Handler())
-	defer baseSrv.Close()
-	srcSrv := mkSource()
-	agBase := New()
-	if err := agBase.Register("Auction", RoleSource, wsdlFor(t, sch, sFr, srcSrv.URL), srcSrv.URL); err != nil {
+	if err := srcStore.LoadDocument(doc.Clone()); err != nil {
 		t.Fatal(err)
 	}
-	if err := agBase.Register("Auction", RoleTarget, wsdlFor(t, sch, tFr, baseSrv.URL), baseSrv.URL); err != nil {
-		t.Fatal(err)
-	}
-	planBase, err := agBase.Plan("Auction", PlanOptions{Algorithm: AlgGreedy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := agBase.ExecuteOpts("Auction", planBase, ExecOptions{Link: netsim.Loopback(), Streamed: true}); err != nil {
-		t.Fatal(err)
-	}
-	// Read the baseline back out through the same LF->LF hop the child
-	// will be read through, so both trees get identical wire treatment
-	// (the shipment codec deliberately strips leaf IDs off big records).
-	want := readBack(t, "base-back", sch, tFr, baseSrv.URL)
+	srcSrv := httptest.NewServer(endpoint.New("S", &endpoint.RelBackend{Store: srcStore, Speed: 1, CanCombine: true}, nil).Handler())
+	defer srcSrv.Close()
 
 	// The durable child target.
 	walDir := t.TempDir()
@@ -377,9 +339,8 @@ func TestKillRestartChildEndpoint(t *testing.T) {
 		}
 	}()
 
-	srcSrv2 := mkSource()
 	ag := New()
-	if err := ag.Register("Auction", RoleSource, wsdlFor(t, sch, sFr, srcSrv2.URL), srcSrv2.URL); err != nil {
+	if err := ag.Register("Auction", RoleSource, wsdlFor(t, sch, sFr, srcSrv.URL), srcSrv.URL); err != nil {
 		t.Fatal(err)
 	}
 	if err := ag.Register("Auction", RoleTarget, wsdlFor(t, sch, tFr, tgtURL), tgtURL); err != nil {
@@ -455,10 +416,17 @@ func TestKillRestartChildEndpoint(t *testing.T) {
 	}
 
 	// Identical contents: flow the child's store back out into a fresh
-	// in-process LF store and compare against the baseline read-back.
+	// in-process LF store, and the drive-free control (oracleTarget) out
+	// through the same LF->LF hop, so both trees get identical wire
+	// treatment (the shipment codec deliberately strips leaf IDs off big
+	// records).
 	got := readBack(t, "child-back", sch, tFr, tgtURL)
+	oracle, _ := oracleTarget(t, plan, doc.Clone(), sFr, tFr, wire.Codec{})
+	oracleSrv := httptest.NewServer(endpoint.New("T0", &endpoint.RelBackend{Store: oracle, Speed: 1, CanCombine: true}, nil).Handler())
+	defer oracleSrv.Close()
+	want := readBack(t, "oracle-back", sch, tFr, oracleSrv.URL)
 	if !xmltree.Equal(want, got) {
-		t.Error("killed-and-restarted target's contents differ from the uninterrupted run")
+		t.Error("killed-and-restarted target's contents differ from an uninterrupted exchange")
 	}
 }
 
@@ -484,7 +452,7 @@ func readBack(t *testing.T, svc string, sch *schema.Schema, tFr *core.Fragmentat
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ag.ExecuteOpts(svc, plan, ExecOptions{Link: netsim.Loopback(), Streamed: true}); err != nil {
+	if _, err := ag.ExecuteOpts(svc, plan, ExecOptions{Link: netsim.Loopback()}); err != nil {
 		t.Fatal(err)
 	}
 	return assembleTarget(t, st)

@@ -165,7 +165,6 @@ func TestObservedExchangeFailure(t *testing.T) {
 	met := obs.NewRegistry()
 	rep, err := ag.ExecuteOpts("Auction", plan, ExecOptions{
 		Link:      netsim.Loopback(),
-		Streamed:  true,
 		Transport: fl.RoundTripper(nil),
 		Metrics:   met,
 	})
@@ -181,7 +180,7 @@ func TestObservedExchangeFailure(t *testing.T) {
 	if rep == nil || rep.Trace == nil {
 		t.Fatalf("failed exchange returned no trace (report %+v)", rep)
 	}
-	if rep.Trace.Attr("path") != "streamed" {
+	if rep.Trace.Attr("path") != "reliable" {
 		t.Errorf("trace path = %q", rep.Trace.Attr("path"))
 	}
 }

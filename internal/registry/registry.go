@@ -543,15 +543,12 @@ type Report struct {
 	ShipTime  time.Duration
 	// WireBytes is what actually crossed the agency→target link: shipment
 	// framing, codec encoding, compression and transfer text included —
-	// and, on the reliable path, retransmitted attempts. PayloadBytes is
-	// the same shipment measured in the universal tagged-XML tree codec,
-	// so the two diverge exactly by what the negotiated codec saved (or
-	// framing cost). On the reliable path the source counts PayloadBytes
-	// as it renders and reports it in its timing trailer: on a delta that
-	// is the records the delta ships, so it measures the same shipment as
-	// WireBytes. The streamed path measures what it decoded. PayloadBytes
-	// is zero on the buffered tree path, which forwards the shipment
-	// without decoding it.
+	// and retransmitted attempts. PayloadBytes is the same shipment
+	// measured in the universal tagged-XML tree codec, so the two diverge
+	// exactly by what the negotiated codec saved (or framing cost). The
+	// source counts PayloadBytes as it renders and reports it in its
+	// timing trailer: on a delta that is the records the delta ships, so
+	// it measures the same shipment as WireBytes.
 	WireBytes    int64
 	PayloadBytes int64
 	// Codec is the shipment codec the exchange actually traveled under —
@@ -565,7 +562,7 @@ type Report struct {
 	// IndexTime is step 5: updating target indexes.
 	IndexTime time.Duration
 	// Retries counts failed call attempts that were retried by the
-	// reliability engine (zero on the plain paths).
+	// reliability engine (always zero under a one-attempt policy).
 	Retries int
 	// Resumes counts target deliveries that resumed from a positive chunk
 	// checkpoint instead of restarting the shipment.
@@ -598,55 +595,36 @@ func (r *Report) Total() time.Duration {
 type ExecOptions struct {
 	// Link models the source→target connection.
 	Link netsim.Link
-	// Format selects the shipment encoding: "" or "xml" for XML trees,
-	// "feed" for sorted feeds (flat fragments only; others fall back to
-	// XML per instance). Superseded by Codec, which wins when both are
-	// set.
-	Format string
 	// Codec names the shipment encoding for the exchange: "xml", "feed",
-	// "bin", or "bin+flate". On the streamed paths the agency advertises
-	// it (plus the universal "xml") on the request envelope and the
-	// source endpoint answers with its pick; the shipment itself stays
-	// self-describing either way. A reliable exchange, delta or full,
-	// relays the source's chunks, so its target hop carries the source's
-	// pick; the agency encodes in this codec only on the streamed path.
+	// "bin", or "bin+flate". The agency advertises it (plus the universal
+	// "xml") on the source request's envelope and the source endpoint
+	// answers with its pick; the agency relays the source's chunks, so the
+	// target hop carries that pick too.
 	Codec string
-	// FilterElem/FilterValue pass a service argument (§3.2) to the source:
-	// only root-fragment records whose FilterElem leaf equals FilterValue
-	// (and their descendants) are exchanged.
-	FilterElem, FilterValue string
-	// Filter is the compiled-pushdown generalization of FilterElem: a
+	// Filter passes a service argument (§3.2) to the source as a
 	// core.CompileFilter expression (child steps + leaf comparison)
-	// evaluated source-side. When both are set, Filter wins.
+	// evaluated source-side: only root-fragment records that match (and
+	// their descendants) are exchanged.
 	Filter string
 	// Delta asks for an incremental delivery: the agency names the
 	// snapshot the target last acked as the base, the source diffs its
 	// fresh output against it and ships only added/changed records plus
 	// tombstones for deletions, and the agency relays that delta. It falls
 	// back to a full re-ship whenever any party's state is cold or the
-	// fragmentation epoch changed. Requires Reliability (deltas ride the
-	// sessioned chunk protocol).
+	// fragmentation epoch changed.
 	Delta bool
 	// Pipelined asks both endpoints to run their program slices on the
 	// streaming executor (stages connected by channels) instead of the
 	// batch one. Semantics are identical; scheduling overlaps.
 	Pipelined bool
-	// Streamed drives the exchange over the zero-materialization wire
-	// path: the source serializes its shipment directly onto the HTTP
-	// response as the slice executes, the agency decodes it incrementally
-	// and pipes it onward, and the target decodes the request in one SAX
-	// pass — no envelope tree is materialized anywhere. With Streamed,
-	// ShipBytes reports actual wire bytes of the shipment (framing
-	// included), where the tree path counts serialized records only.
-	Streamed bool
-	// Reliability, when set, drives the exchange through the reliable
-	// subsystem: retried source execution with backoff and circuit
-	// breaking, and a resumable chunked session for the target delivery.
-	// It implies the streaming wire path; see executeReliable.
+	// Reliability tunes the drive: retried source execution with backoff
+	// and circuit breaking, and a resumable chunked session for the
+	// target delivery. Nil is the plain exchange — the same sessioned
+	// drive with one attempt per call (Policy.MaxAttempts 1).
 	Reliability *reliable.Config
 	// Transport, when set, is installed into the SOAP clients driving the
 	// exchange — the hook a fault-injecting netsim.FaultyLink plugs into.
-	// With Reliability set it is used unless the config carries its own.
+	// It is used unless the Reliability config carries its own.
 	Transport http.RoundTripper
 	// Logger, when set, narrates the exchange: attempts, retries, breaker
 	// transitions, and the final outcome. Nil is silent.
@@ -654,13 +632,6 @@ type ExecOptions struct {
 	// Metrics, when set, receives exchange.* counters and latency
 	// histograms from the drive. Nil records nothing.
 	Metrics *obs.Registry
-	// ParallelChunks dials the agency-side chunk codec pools (encode
-	// renders and raw-chunk parses): 0 — the default — is one worker per
-	// CPU, 1 or less runs the codecs in-line. The wire bytes and the
-	// decoded instances are identical for every setting. Only the
-	// streamed path uses the pools: a reliable exchange, delta or full,
-	// relays the source's chunks undecoded.
-	ParallelChunks int
 	// Scheduler, when set, routes the drive through the admission-
 	// controlled exchange pool: the exchange waits for a worker under
 	// Tenant's budgets and runs there, or is shed immediately with a
@@ -669,28 +640,6 @@ type ExecOptions struct {
 	// Tenant names the admission-control bucket the exchange charges
 	// against; empty defaults to the service name.
 	Tenant string
-}
-
-// client builds a SOAP client for url honoring the configured transport.
-func (o ExecOptions) client(url string) *soap.Client {
-	c := &soap.Client{URL: url}
-	if o.Transport != nil {
-		c.HTTPClient = &http.Client{Transport: o.Transport}
-	}
-	return c
-}
-
-// effectiveCodec resolves the shipment codec the options ask for: Codec
-// wins, the legacy Format field maps onto its codec, and the default is
-// tagged XML.
-func (o ExecOptions) effectiveCodec() (wire.Codec, error) {
-	if o.Codec != "" {
-		return wire.ParseCodec(o.Codec)
-	}
-	if o.Format == "feed" {
-		return wire.Codec{Kind: wire.CodecFeed}, nil
-	}
-	return wire.Codec{}, nil
 }
 
 // advertise configures c to negotiate for codec: the client offers its
@@ -709,11 +658,13 @@ func (a *Agency) Execute(service string, plan *Plan, link netsim.Link) (*Report,
 }
 
 // ExecuteOpts drives an exchange end-to-end: the source executes its slice
-// and returns the cross-edge shipment, which the agency forwards to the
-// target together with the target slice. Communication time is modeled
-// over the link from the actual shipment size. Every drive carries a span
-// tree (Report.Trace) and, when opts wires a Logger/Metrics, emits
-// exchange.* observability.
+// and streams the cross-edge shipment as sequenced chunks, which the
+// agency relays verbatim into a resumable target session together with
+// the target slice (see executeReliable). Without opts.Reliability each
+// call gets one attempt. Communication time is modeled over the link from
+// the actual shipment size. Every drive carries a span tree
+// (Report.Trace) and, when opts wires a Logger/Metrics, emits exchange.*
+// observability.
 func (a *Agency) ExecuteOpts(service string, plan *Plan, opts ExecOptions) (*Report, error) {
 	if opts.Scheduler != nil {
 		sched, tenant := opts.Scheduler, opts.Tenant
@@ -729,29 +680,20 @@ func (a *Agency) ExecuteOpts(service string, plan *Plan, opts ExecOptions) (*Rep
 		})
 		return report, err
 	}
-	if opts.Delta && opts.Reliability == nil {
-		return nil, fmt.Errorf("registry: ExecOptions.Delta requires Reliability (deltas ride the sessioned chunk protocol)")
-	}
 	start := time.Now()
 	met := opts.Metrics
 	log := obs.OrNop(opts.Logger)
 	met.Counter("exchange.total").Inc()
 
-	var report *Report
-	var err error
-	switch {
-	case opts.Reliability != nil:
-		if opts.Reliability.Transport == nil && opts.Transport != nil {
-			cfg := *opts.Reliability
-			cfg.Transport = opts.Transport
-			opts.Reliability = &cfg
-		}
-		report, err = a.executeReliable(service, plan, opts)
-	case opts.Streamed:
-		report, err = a.executeStreamed(service, plan, opts)
-	default:
-		report, err = a.executeTree(service, plan, opts)
+	if opts.Reliability == nil {
+		opts.Reliability = &reliable.Config{Policy: reliable.Policy{MaxAttempts: 1}}
 	}
+	if opts.Reliability.Transport == nil && opts.Transport != nil {
+		cfg := *opts.Reliability
+		cfg.Transport = opts.Transport
+		opts.Reliability = &cfg
+	}
+	report, err := a.executeReliable(service, plan, opts)
 
 	met.Histogram("exchange.millis").ObserveSince(start)
 	if report != nil {
@@ -779,107 +721,6 @@ func newTrace(service, path string) *obs.Span {
 	sp.Set("service", service)
 	sp.Set("path", path)
 	return sp
-}
-
-// executeTree is the buffered tree path: materialize the source response,
-// forward the shipment subtree, materialize the target response.
-func (a *Agency) executeTree(service string, plan *Plan, opts ExecOptions) (*Report, error) {
-	link := opts.Link
-	src, tgt := a.parties(service)
-	if src == nil || tgt == nil {
-		return nil, fmt.Errorf("registry: service %q not fully registered", service)
-	}
-	progXML, err := wire.EncodeProgram(plan.Program, plan.Assign)
-	if err != nil {
-		return nil, err
-	}
-	codec, err := opts.effectiveCodec()
-	if err != nil {
-		return nil, err
-	}
-	trace := newTrace(service, "tree")
-	report := &Report{Plan: plan, Codec: codec.String(), Trace: trace}
-
-	reqS := &xmltree.Node{Name: "ExecuteSource"}
-	if opts.Codec != "" {
-		reqS.SetAttr("codec", opts.Codec)
-	}
-	if opts.Format != "" {
-		reqS.SetAttr("format", opts.Format)
-	}
-	if opts.FilterElem != "" {
-		reqS.SetAttr("filterElem", opts.FilterElem)
-		reqS.SetAttr("filterValue", opts.FilterValue)
-	}
-	if opts.Filter != "" {
-		reqS.SetAttr("filter", opts.Filter)
-	}
-	if opts.Pipelined {
-		reqS.SetAttr("pipelined", "1")
-	}
-	reqS.AddKid(progXML)
-	cs := opts.client(src.URL)
-	srcSpan := trace.Child("source")
-	respS, err := cs.Call("ExecuteSource", reqS)
-	srcSpan.End()
-	if err != nil {
-		srcSpan.Set("err", err.Error())
-		return report, fmt.Errorf("registry: source execution: %w", err)
-	}
-	if v, ok := respS.Attr("queryMillis"); ok {
-		report.SourceTime = parseMillis(v)
-	}
-	var shipment *xmltree.Node
-	for _, k := range respS.Kids {
-		if k.Name == "shipment" {
-			shipment = k
-		}
-	}
-	if shipment == nil {
-		return report, fmt.Errorf("registry: source returned no shipment")
-	}
-	for _, ix := range shipment.Kids {
-		if format, _ := ix.Attr("format"); format != "" {
-			// Encoded instances (feed, bin) carry their payload as text.
-			report.WireBytes += int64(len(ix.Text))
-			continue
-		}
-		for _, rec := range ix.Kids {
-			report.WireBytes += xmltree.SizeWith(rec, xmltree.WriteOptions{EmitAllIDs: true})
-		}
-	}
-	report.ShipBytes = report.WireBytes
-	report.ShipTime = link.TransferTime(report.ShipBytes)
-
-	reqT := &xmltree.Node{Name: "ExecuteTarget"}
-	if opts.Pipelined {
-		reqT.SetAttr("pipelined", "1")
-	}
-	// Re-encode the program for the target side.
-	progXML2, err := wire.EncodeProgram(plan.Program, plan.Assign)
-	if err != nil {
-		return nil, err
-	}
-	reqT.AddKid(progXML2)
-	reqT.AddKid(shipment)
-	ct := opts.client(tgt.URL)
-	tgtSpan := trace.Child("deliver")
-	respT, err := ct.Call("ExecuteTarget", reqT)
-	tgtSpan.End()
-	if err != nil {
-		tgtSpan.Set("err", err.Error())
-		return report, fmt.Errorf("registry: target execution: %w", err)
-	}
-	if v, ok := respT.Attr("execMillis"); ok {
-		report.TargetTime = parseMillis(v)
-	}
-	if v, ok := respT.Attr("writeMillis"); ok {
-		report.WriteTime = parseMillis(v)
-	}
-	if v, ok := respT.Attr("indexMillis"); ok {
-		report.IndexTime = parseMillis(v)
-	}
-	return report, nil
 }
 
 func parseMillis(s string) time.Duration {

@@ -188,7 +188,7 @@ func TestEndToEndExchangeFeedFormat(t *testing.T) {
 	// smaller on the wire, identical target contents.
 	ag, plan, tgtStore, done := startExchange(t, AlgGreedy)
 	defer done()
-	feedReport, err := ag.ExecuteOpts("CustomerInfoService", plan, ExecOptions{Link: netsim.Loopback(), Format: "feed"})
+	feedReport, err := ag.ExecuteOpts("CustomerInfoService", plan, ExecOptions{Link: netsim.Loopback(), Codec: "feed"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestExchangeWithServiceArgument(t *testing.T) {
 	ag, plan, tgtStore, done := startExchange(t, AlgGreedy)
 	defer done()
 	if _, err := ag.ExecuteOpts("CustomerInfoService", plan, ExecOptions{
-		Link: netsim.Loopback(), FilterElem: "CustName", FilterValue: "Nobody",
+		Link: netsim.Loopback(), Filter: `CustName = "Nobody"`,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestExchangeWithServiceArgument(t *testing.T) {
 	}
 	tgtStore.Clear()
 	report, err := ag.ExecuteOpts("CustomerInfoService", plan, ExecOptions{
-		Link: netsim.Loopback(), FilterElem: "CustName", FilterValue: "Ann",
+		Link: netsim.Loopback(), Filter: `CustName = "Ann"`,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -18,6 +18,7 @@ import (
 	"xdx/internal/reliable"
 	"xdx/internal/soap"
 	"xdx/internal/wire"
+	"xdx/internal/xmark"
 	"xdx/internal/xmltree"
 )
 
@@ -65,7 +66,7 @@ func (r *actionRouter) RoundTrip(req *http.Request) (*http.Response, error) {
 
 // decodedSource asks the service's source for its shipment the way full
 // exchanges did before the relay — no chunk size, so one unsequenced chunk
-// per edge — and decodes it.
+// per edge — and decodes it with the reference decoder.
 func decodedSource(t *testing.T, ag *Agency, plan *Plan, opts ExecOptions) map[string]*core.Instance {
 	t.Helper()
 	src, _ := ag.parties("Auction")
@@ -73,23 +74,28 @@ func decodedSource(t *testing.T, ag *Agency, plan *Plan, opts ExecOptions) map[s
 	if err != nil {
 		t.Fatal(err)
 	}
-	codec, err := opts.effectiveCodec()
+	codec, err := wire.ParseCodec(opts.Codec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cs := &soap.Client{URL: src.URL}
 	advertise(cs, codec)
-	scan := &sourceRespScan{dec: wire.NewShipmentDecoder(src.Fragmentation.Schema, fragLookup(plan.Program))}
-	if err := cs.CallStream("ExecuteSource", func(w io.Writer) error {
-		return xmltree.Write(w, sourceRequest(progXML, opts), xmltree.WriteOptions{EmitAllIDs: true})
-	}, scan); err != nil {
-		t.Fatal(err)
-	}
-	inbound, err := scan.dec.Result()
+	resp, err := cs.Call("ExecuteSource", sourceRequest(progXML, opts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return inbound
+	for _, k := range resp.Kids {
+		if k.Name == "shipment" {
+			inbound, err := wire.ReadShipment(strings.NewReader(xmltree.Marshal(k, xmltree.WriteOptions{EmitAllIDs: true})),
+				src.Fragmentation.Schema, edgeFrags(plan.Program))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return inbound
+		}
+	}
+	t.Fatal("source returned no shipment")
+	return nil
 }
 
 // TestRelayTargetRequestMatchesRenderedPath holds the relay to the path it
@@ -153,17 +159,16 @@ func excerpt(s string, i int) string {
 
 // TestRelayOutcomesEveryCodec checks that relaying changes no outcome: in
 // every codec, with the pipelined executors on and off, the target
-// reassembles to the same records as an exchange that decodes and
-// re-renders the shipment in that codec leaves, and Report.PayloadBytes
-// equals the tagged-XML size of the decoded source shipment.
+// reassembles to the same records as the in-test control (oracleTarget)
+// leaves, and Report.PayloadBytes equals the tagged-XML size of the
+// control's source shipment.
 func TestRelayOutcomesEveryCodec(t *testing.T) {
+	sch := xmark.Schema()
 	for _, codec := range []string{"xml", "feed", "bin", "bin+flate"} {
-		agA, planA, tgtA, _, doneA := startAuctionExchange(t)
-		if _, err := agA.ExecuteOpts("Auction", planA, ExecOptions{Link: netsim.Loopback(), Streamed: true, Codec: codec}); err != nil {
+		wc, err := wire.ParseCodec(codec)
+		if err != nil {
 			t.Fatal(err)
 		}
-		want := assembleTarget(t, tgtA)
-		doneA()
 		for _, pipelined := range []bool{false, true} {
 			ag, plan, tgt, _, done := startAuctionExchange(t)
 			opts := ExecOptions{
@@ -179,11 +184,12 @@ func TestRelayOutcomesEveryCodec(t *testing.T) {
 			if rep.Codec != codec {
 				t.Errorf("codec=%s pipelined=%v: report says codec %q", codec, pipelined, rep.Codec)
 			}
-			if !xmltree.Equal(want, assembleTarget(t, tgt)) {
-				t.Errorf("codec=%s pipelined=%v: relayed target differs from the decoding exchange's", codec, pipelined)
+			oracle, outbound := oracleTarget(t, plan, auctionDoc(), core.MostFragmented(sch), core.LeastFragmented(sch), wc)
+			if !xmltree.Equal(assembleTarget(t, oracle), assembleTarget(t, tgt)) {
+				t.Errorf("codec=%s pipelined=%v: relayed target differs from the in-test exchange's", codec, pipelined)
 			}
-			if wantPayload := wire.ShipmentBytes(decodedSource(t, ag, plan, opts)); rep.PayloadBytes != wantPayload {
-				t.Errorf("codec=%s pipelined=%v: PayloadBytes = %d, decoded shipment measures %d",
+			if wantPayload := wire.ShipmentBytes(outbound); rep.PayloadBytes != wantPayload {
+				t.Errorf("codec=%s pipelined=%v: PayloadBytes = %d, the in-test source slice's shipment measures %d",
 					codec, pipelined, rep.PayloadBytes, wantPayload)
 			}
 			done()
@@ -197,16 +203,12 @@ func TestRelayOutcomesEveryCodec(t *testing.T) {
 // deliveries resume, no row is loaded twice, and the target equals a
 // fault-free run's.
 func TestRelayResumesOverRetainedChunks(t *testing.T) {
-	agA, planA, tgtA, _, doneA := startAuctionExchange(t)
-	if _, err := agA.ExecuteOpts("Auction", planA, ExecOptions{Link: netsim.Loopback(), Reliability: soakConfig(1)}); err != nil {
-		t.Fatal(err)
-	}
-	want, wantRows := assembleTarget(t, tgtA), tgtA.Rows()
-	doneA()
-
+	sch := xmark.Schema()
 	resumes := 0
 	for _, seed := range soakSeeds(t) {
 		ag, plan, tgt, _, done := startAuctionExchange(t)
+		oracle, _ := oracleTarget(t, plan, auctionDoc(), core.MostFragmented(sch), core.LeastFragmented(sch), wire.Codec{})
+		want, wantRows := assembleTarget(t, oracle), oracle.Rows()
 		fl := netsim.NewFaultyLink(netsim.Loopback(), netsim.Faults{Seed: seed, TruncateProb: 0.6, MaxTruncate: 48 << 10})
 		rep, err := ag.ExecuteOpts("Auction", plan, ExecOptions{
 			Link:        netsim.Loopback(),
@@ -218,10 +220,10 @@ func TestRelayResumesOverRetainedChunks(t *testing.T) {
 		}
 		resumes += rep.Resumes
 		if rows := tgt.Rows(); rows != wantRows {
-			t.Errorf("seed %d: target holds %d rows, fault-free run %d", seed, rows, wantRows)
+			t.Errorf("seed %d: target holds %d rows, a fault-free exchange %d", seed, rows, wantRows)
 		}
 		if !xmltree.Equal(want, assembleTarget(t, tgt)) {
-			t.Errorf("seed %d: target differs from the fault-free run", seed)
+			t.Errorf("seed %d: target differs from a fault-free exchange", seed)
 		}
 		done()
 	}

@@ -1,20 +1,22 @@
 package registry
 
-// Reliable exchange driving. The plain drivers treat every SOAP call as
-// fire-once: a dropped connection, a stalled stream, or an injected 5xx
-// aborts the whole exchange. With ExecOptions.Reliability set, the agency
-// drives the exchange through internal/reliable instead:
+// The exchange drive. Every exchange runs through internal/reliable under
+// the options' reliability config:
 //
 //   - the source call is retried wholesale under backoff — it is idempotent
 //     (the source recomputes its slice), so each attempt scans into fresh
 //     state;
-//   - the target delivery becomes a resumable session: the shipment travels
-//     as seq-numbered chunks, a torn delivery is resumed from the chunk
+//   - the target delivery is a resumable session: the shipment travels as
+//     seq-numbered chunks, a torn delivery is resumed from the chunk
 //     checkpoint the target acked via SessionStatus, and the target's
 //     ledger dedups any overlap, so the loaded instances are byte-identical
 //     to a fault-free run;
 //   - every attempt passes the endpoint's circuit breaker, and the whole
 //     exchange shares one retry budget and deadline.
+//
+// The plain exchange (no config) is the same drive with one attempt per
+// call: a dropped connection, a stalled stream, or an injected 5xx fails
+// it, and nothing is retried or resumed.
 //
 // The agency relays. It plans the exchange but is not one of its
 // computation nodes (§4.1 charges computation to S and T and
@@ -85,7 +87,7 @@ func (a *Agency) executeReliable(service string, plan *Plan, opts ExecOptions) (
 	if err != nil {
 		return nil, err
 	}
-	codec, err := opts.effectiveCodec()
+	codec, err := wire.ParseCodec(opts.Codec)
 	if err != nil {
 		return nil, err
 	}

@@ -15,6 +15,7 @@ import (
 	"xdx/internal/netsim"
 	"xdx/internal/reliable"
 	"xdx/internal/relstore"
+	"xdx/internal/wire"
 	"xdx/internal/xmark"
 	"xdx/internal/xmltree"
 )
@@ -58,7 +59,7 @@ func startAuctionExchange(t testing.TB) (*Agency, *Plan, *relstore.Store, *endpo
 func startAuctionExchangeWith(t testing.TB, srcWrap, tgtWrap func(http.Handler) http.Handler) (*Agency, *Plan, *relstore.Store, *endpoint.Endpoint, func()) {
 	t.Helper()
 	sch := xmark.Schema()
-	doc := xmark.Generate(xmark.Config{TargetBytes: 60_000, Seed: 42})
+	doc := auctionDoc()
 	sFr := core.MostFragmented(sch)
 	tFr := core.LeastFragmented(sch)
 
@@ -118,6 +119,84 @@ func assembleTarget(t testing.TB, st *relstore.Store) *xmltree.Node {
 	return back
 }
 
+// auctionDoc is the document startAuctionExchange loads into its source.
+func auctionDoc() *xmltree.Node {
+	return xmark.Generate(xmark.Config{TargetBytes: 60_000, Seed: 42})
+}
+
+// oracleTarget is the control an exchange's target is held to, built
+// without any drive, endpoint or session: the plan's source slice runs
+// in-test over doc stored in sFr, its shipment round-trips through the
+// reference tree codec in codec (wire.EncodeShipmentCodec and
+// DecodeShipmentAuto, which drop the same identifiers the streaming codec
+// does), and the target slice loads a fresh tFr store. It returns that
+// store and the source slice's shipment.
+func oracleTarget(t testing.TB, plan *Plan, doc *xmltree.Node, sFr, tFr *core.Fragmentation, codec wire.Codec) (*relstore.Store, map[string]*core.Instance) {
+	t.Helper()
+	sch := sFr.Schema
+	src, err := relstore.NewStore(sFr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.LoadDocument(doc); err != nil {
+		t.Fatal(err)
+	}
+	scan := func(f *core.Fragment) (*core.Instance, error) {
+		for _, lf := range sFr.Fragments {
+			if lf.SameElems(f) {
+				in, err := src.ScanFragment(lf.Name)
+				if err != nil {
+					return nil, err
+				}
+				return &core.Instance{Frag: f, Records: in.Records}, nil
+			}
+		}
+		return nil, fmt.Errorf("no source fragment matches %q", f.Name)
+	}
+	g, a := plan.Program, plan.Assign
+	outbound, _, err := core.ExecuteSlice(g, sch, a, core.LocSource, core.SliceIO{Scan: scan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := wire.EncodeShipmentCodec(outbound, sch, codec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipped, err := xmltree.Parse(strings.NewReader(xmltree.Marshal(enc, xmltree.WriteOptions{EmitAllIDs: true})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inbound, err := wire.DecodeShipmentAuto(shipped, sch, edgeFrags(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgt, err := relstore.NewStore(tFr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := core.ExecuteSlice(g, sch, a, core.LocTarget, core.SliceIO{Inbound: inbound, Write: tgt.Load}); err != nil {
+		t.Fatal(err)
+	}
+	return tgt, outbound
+}
+
+// edgeFrags resolves the fragment names a program's shipments carry.
+func edgeFrags(g *core.Graph) func(string) *core.Fragment {
+	frags := map[string]*core.Fragment{}
+	for _, ed := range g.Edges {
+		frags[ed.Frag.Name] = ed.Frag
+	}
+	return func(name string) *core.Fragment { return frags[name] }
+}
+
+// auctionOracle is oracleTarget for startAuctionExchange's workload.
+func auctionOracle(t testing.TB, plan *Plan) *xmltree.Node {
+	t.Helper()
+	sch := xmark.Schema()
+	st, _ := oracleTarget(t, plan, auctionDoc(), core.MostFragmented(sch), core.LeastFragmented(sch), wire.Codec{})
+	return assembleTarget(t, st)
+}
+
 // soakFaults is the fault mix of the e2e: a fifth of the connections drop,
 // streams tear mid-flight, and the occasional plain-text 503 appears.
 func soakFaults(seed int64) netsim.Faults {
@@ -155,14 +234,6 @@ func soakConfig(seed int64) *reliable.Config {
 // The matrix runs over the shipment codecs so torn-chunk recovery is
 // exercised on the binary (and compressed) encodings too.
 func TestReliableExchangeUnderInjectedFaults(t *testing.T) {
-	// Fault-free baseline: what the target must hold afterwards.
-	agA, planA, tgtA, _, doneA := startAuctionExchange(t)
-	if _, err := agA.ExecuteOpts("Auction", planA, ExecOptions{Link: netsim.Loopback(), Streamed: true}); err != nil {
-		t.Fatal(err)
-	}
-	want := assembleTarget(t, tgtA)
-	doneA()
-
 	for _, codec := range []string{"xml", "bin", "bin+flate"} {
 		codec := codec
 		t.Run("codec="+codec, func(t *testing.T) {
@@ -193,7 +264,7 @@ func TestReliableExchangeUnderInjectedFaults(t *testing.T) {
 						defer doneC()
 						flC := netsim.NewFaultyLink(netsim.Loopback(), soakFaults(seed))
 						if _, err := agC.ExecuteOpts("Auction", planC, ExecOptions{
-							Link: netsim.Loopback(), Streamed: true, Transport: flC.RoundTripper(nil),
+							Link: netsim.Loopback(), Transport: flC.RoundTripper(nil),
 						}); err == nil {
 							t.Fatal("unreliable exchange survived the fault seed")
 						}
@@ -212,10 +283,6 @@ func TestReliableExchangeUnderInjectedFaults(t *testing.T) {
 						Transport:   flB.RoundTripper(nil),
 						Reliability: soakConfig(seed),
 						Codec:       codec,
-						// Faulted runs drive the parallel chunk pipelines so
-						// torn-prefix recovery, the idempotency ledger, and
-						// resumes are soaked with concurrent renders/parses.
-						ParallelChunks: 4,
 					})
 					if err != nil {
 						t.Fatalf("reliable exchange failed: %v (injected %+v)", err, flB.Counts())
@@ -229,8 +296,8 @@ func TestReliableExchangeUnderInjectedFaults(t *testing.T) {
 					}
 					totalResumes += rep.Resumes
 					got := assembleTarget(t, tgtB)
-					if !xmltree.Equal(want, got) {
-						t.Error("faulted run's target differs from the fault-free run")
+					if !xmltree.Equal(auctionOracle(t, planB), got) {
+						t.Error("faulted run's target differs from the fault-free exchange")
 					}
 				})
 			}
@@ -244,13 +311,6 @@ func TestReliableExchangeUnderInjectedFaults(t *testing.T) {
 // TestReliableExchangeFaultFree checks the reliable driver is a no-op
 // overlay on a clean link: no retries, no resumes, same target contents.
 func TestReliableExchangeFaultFree(t *testing.T) {
-	agA, planA, tgtA, _, doneA := startAuctionExchange(t)
-	defer doneA()
-	if _, err := agA.ExecuteOpts("Auction", planA, ExecOptions{Link: netsim.Loopback(), Streamed: true}); err != nil {
-		t.Fatal(err)
-	}
-	want := assembleTarget(t, tgtA)
-
 	agB, planB, tgtB, tgtEP, doneB := startAuctionExchange(t)
 	defer doneB()
 	rep, err := agB.ExecuteOpts("Auction", planB, ExecOptions{
@@ -273,7 +333,7 @@ func TestReliableExchangeFaultFree(t *testing.T) {
 		t.Errorf("target still holds %d sessions after the exchange", n)
 	}
 	got := assembleTarget(t, tgtB)
-	if !xmltree.Equal(want, got) {
+	if !xmltree.Equal(auctionOracle(t, planB), got) {
 		t.Error("reliable driver changed the exchanged document")
 	}
 }
@@ -290,7 +350,7 @@ func TestFaultSweepExperiment(t *testing.T) {
 	}
 
 	agA, planA, _, _, doneA := startAuctionExchange(t)
-	repA, err := agA.ExecuteOpts("Auction", planA, ExecOptions{Link: netsim.Loopback(), Streamed: true})
+	repA, err := agA.ExecuteOpts("Auction", planA, ExecOptions{Link: netsim.Loopback()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,23 +21,17 @@ type Service struct {
 	Agency *Agency
 	// Link models the source→target connection used when executing.
 	Link netsim.Link
-	// Streamed selects the zero-materialization wire path for exchanges.
-	Streamed bool
 	// Codec is the default shipment codec for exchanges ("xml", "feed",
 	// "bin", "bin+flate"); a codec attribute on the Plan/Exchange request
 	// overrides it.
 	Codec string
-	// Reliability, when set, drives every exchange through the reliable
-	// path (retries, resumable sessions, circuit breaking). Set
-	// Reliability.Breakers to share breaker state across exchanges.
+	// Reliability, when set, tunes every exchange's retries, resumable
+	// sessions and circuit breaking (ExecOptions.Reliability); nil gives
+	// each call one attempt. Set Reliability.Breakers to share breaker
+	// state across exchanges.
 	Reliability *reliable.Config
-	// ParallelChunks dials the chunk codec pools of every exchange the
-	// service drives (ExecOptions.ParallelChunks): 0 is one worker per
-	// CPU, 1 or less runs the codecs in-line.
-	ParallelChunks int
-	// Delta drives repeat exchanges in delta mode by default (requires
-	// Reliability); a delta attribute on the Exchange request overrides it
-	// per call.
+	// Delta drives repeat exchanges in delta mode by default; a delta
+	// attribute on the Exchange request overrides it per call.
 	Delta bool
 	// Filter is the service-wide pushdown filter expression applied
 	// source-side to every exchange; a filter attribute on the request
@@ -269,9 +263,6 @@ func (s *Service) exchangeNow(req *xmltree.Node) (*xmltree.Node, error) {
 	if v, ok := req.Attr("delta"); ok {
 		delta = v == "1" || v == "true"
 	}
-	if delta && s.Reliability == nil {
-		return nil, &soap.Fault{Code: "soap:Client", String: "delta exchanges require the reliable path"}
-	}
 	// Planning probes the live endpoints for statistics; under a
 	// reliability config those probes deserve the same retry policy as the
 	// exchange itself (planning is idempotent, so retry it wholesale).
@@ -292,26 +283,22 @@ func (s *Service) exchangeNow(req *xmltree.Node) (*xmltree.Node, error) {
 		return nil, err
 	}
 	report, err := s.Agency.ExecuteOpts(service, plan, ExecOptions{
-		Link:           s.Link,
-		Codec:          codec,
-		Streamed:       s.Streamed,
-		Reliability:    s.Reliability,
-		Logger:         s.log,
-		Metrics:        s.met,
-		ParallelChunks: s.ParallelChunks,
-		Delta:          delta,
-		Filter:         filter,
+		Link:        s.Link,
+		Codec:       codec,
+		Reliability: s.Reliability,
+		Logger:      s.log,
+		Metrics:     s.met,
+		Delta:       delta,
+		Filter:      filter,
 	})
 	if err != nil {
 		return nil, err
 	}
 	resp := &xmltree.Node{Name: "ExchangeResponse"}
 	resp.SetAttr("service", service)
-	if s.Reliability != nil {
-		resp.SetAttr("retries", strconv.Itoa(report.Retries))
-		resp.SetAttr("resumes", strconv.Itoa(report.Resumes))
-		resp.SetAttr("deduped", strconv.FormatInt(report.DedupedRecords, 10))
-	}
+	resp.SetAttr("retries", strconv.Itoa(report.Retries))
+	resp.SetAttr("resumes", strconv.Itoa(report.Resumes))
+	resp.SetAttr("deduped", strconv.FormatInt(report.DedupedRecords, 10))
 	if delta {
 		d := "0"
 		if report.Delta {

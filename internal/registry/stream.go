@@ -1,13 +1,9 @@
 package registry
 
-// Streamed exchange driving. The tree path in ExecuteOpts materializes the
-// source's whole response envelope, re-encodes the shipment into the
-// target request, and buffers that request too — three copies of the
-// exchange's dominant payload. The streamed path keeps exactly one: the
-// source response is decoded incrementally into instances as it arrives
-// (SAX events straight into the shipment decoder), and the target request
-// flows through an io.Pipe with the shipment serialized directly from
-// those instances, metered for the communication-cost report as it leaves.
+// The source hop of the relay drive: the streamed ExecuteSource request,
+// and the scan that keeps its sequenced shipment chunks verbatim, checks
+// them and the timing trailer, and writes them into the target request
+// byte for byte.
 
 import (
 	"bytes"
@@ -16,9 +12,6 @@ import (
 	"strconv"
 
 	"xdx/internal/bufpool"
-	"xdx/internal/core"
-	"xdx/internal/netsim"
-	"xdx/internal/wire"
 	"xdx/internal/xmltree"
 )
 
@@ -32,20 +25,16 @@ func scanAttr(attrs []xmltree.Attr, name string) string {
 	return ""
 }
 
-// sourceRespScan consumes an ExecuteSourceResponse stream. With a decoder
-// the shipment subtree flows into it; without one the scan relays: each
-// sequenced chunk is kept verbatim, as the scanner captured it, for the
-// agency to forward to the target byte for byte. The timing rides either
-// on the trailing <timing> element (streamed endpoint) or on the root's
-// queryMillis attribute (buffered endpoint).
+// sourceRespScan consumes an ExecuteSourceResponse stream and relays:
+// each sequenced chunk is kept verbatim, as the scanner captured it, for
+// the agency to forward to the target byte for byte. The timing rides on
+// the trailing <timing> element.
 type sourceRespScan struct {
-	dec *wire.ShipmentDecoder
-
-	// Relay mode: the chunks back to back in raw (a pooled buffer, handed
-	// back by release), chunk i (seq i) ending at ends[i]. base is the
-	// delta base the request named: only then may the shipment be a delta
-	// (delta), whose tombstone chunks follow every record chunk (tombs is
-	// set from the first one on).
+	// The chunks back to back in raw (a pooled buffer, handed back by
+	// release), chunk i (seq i) ending at ends[i]. base is the delta base
+	// the request named: only then may the shipment be a delta (delta),
+	// whose tombstone chunks follow every record chunk (tombs is set from
+	// the first one on).
 	raw      *bytes.Buffer
 	ends     []int
 	relaying bool
@@ -55,9 +44,6 @@ type sourceRespScan struct {
 
 	depth int
 	skip  int
-
-	sub      bool
-	subDepth int
 
 	queryMillis  string
 	payloadBytes string
@@ -84,34 +70,18 @@ func (s *sourceRespScan) StartElement(name string, attrs []xmltree.Attr) error {
 		s.skip++
 		return nil
 	}
-	if s.sub {
-		s.subDepth++
-		return s.dec.StartElement(name, attrs)
-	}
 	s.depth++
-	switch s.depth {
-	case 1:
-		if v := scanAttr(attrs, "queryMillis"); v != "" {
-			s.queryMillis = v
-		}
-	case 2:
+	if s.depth == 2 {
 		switch name {
 		case "shipment":
 			s.sawShipment = true
-			if s.dec == nil {
-				if s.delta = scanAttr(attrs, "delta") == "1"; s.delta && s.base == "" {
-					return fmt.Errorf("registry: source shipped a delta but no base was named")
-				}
-				s.relaying = true
-				return nil
+			if s.delta = scanAttr(attrs, "delta") == "1"; s.delta && s.base == "" {
+				return fmt.Errorf("registry: source shipped a delta but no base was named")
 			}
-			s.sub, s.subDepth = true, 1
-			return s.dec.StartElement(name, attrs)
+			s.relaying = true
 		case "timing":
 			s.sawTiming = true
-			if v := scanAttr(attrs, "queryMillis"); v != "" {
-				s.queryMillis = v
-			}
+			s.queryMillis = scanAttr(attrs, "queryMillis")
 			s.payloadBytes = scanAttr(attrs, "payloadBytes")
 			s.trailer.delta = scanAttr(attrs, "delta")
 			s.trailer.base = scanAttr(attrs, "base")
@@ -234,56 +204,27 @@ func (s *sourceRespScan) release() {
 	}
 }
 
-// Text implements xmltree.AttrHandler.
-func (s *sourceRespScan) Text(data string) error {
-	if s.skip > 0 || !s.sub {
-		return nil
-	}
-	return s.dec.Text(data)
-}
-
-// TextBytes implements xmltree.TextBytesHandler, keeping the scanner's
-// zero-copy text path intact through to the shipment decoder.
-func (s *sourceRespScan) TextBytes(data []byte) error {
-	if s.skip > 0 || !s.sub {
-		return nil
-	}
-	return s.dec.TextBytes(data)
-}
+// Text implements xmltree.AttrHandler: the relayed chunks arrive whole
+// at RawElement, so there is no loose text to keep.
+func (s *sourceRespScan) Text(string) error { return nil }
 
 // EndElement implements xmltree.AttrHandler.
-func (s *sourceRespScan) EndElement(name string) error {
-	switch {
-	case s.skip > 0:
+func (s *sourceRespScan) EndElement(string) error {
+	if s.skip > 0 {
 		s.skip--
-	case s.sub:
-		s.subDepth--
-		if s.subDepth == 0 {
-			s.sub = false
-			s.depth--
-		}
-		return s.dec.EndElement(name)
-	default:
-		s.relaying = false
-		s.depth--
+		return nil
 	}
+	s.relaying = false
+	s.depth--
 	return nil
 }
 
-// sourceRequest builds the streamed ExecuteSource request for a program
-// under the exchange options.
+// sourceRequest builds the ExecuteSource request for a program under the
+// exchange options.
 func sourceRequest(progXML *xmltree.Node, opts ExecOptions) *xmltree.Node {
 	req := &xmltree.Node{Name: "ExecuteSource"}
-	req.SetAttr("stream", "1")
 	if opts.Codec != "" {
 		req.SetAttr("codec", opts.Codec)
-	}
-	if opts.Format != "" {
-		req.SetAttr("format", opts.Format)
-	}
-	if opts.FilterElem != "" {
-		req.SetAttr("filterElem", opts.FilterElem)
-		req.SetAttr("filterValue", opts.FilterValue)
 	}
 	if opts.Filter != "" {
 		req.SetAttr("filter", opts.Filter)
@@ -293,124 +234,4 @@ func sourceRequest(progXML *xmltree.Node, opts ExecOptions) *xmltree.Node {
 	}
 	req.AddKid(progXML)
 	return req
-}
-
-// fragLookup resolves the fragment names a program's shipments carry.
-func fragLookup(prog *core.Graph) func(string) *core.Fragment {
-	frags := map[string]*core.Fragment{}
-	for _, op := range prog.Ops {
-		frags[op.Out.Name] = op.Out
-		for _, p := range op.Parts {
-			frags[p.Name] = p
-		}
-	}
-	for _, ed := range prog.Edges {
-		frags[ed.Frag.Name] = ed.Frag
-	}
-	return func(name string) *core.Fragment { return frags[name] }
-}
-
-// executeStreamed drives an exchange over the zero-materialization wire
-// path: streamed source response, piped target request, no envelope trees
-// on either hop. The shipment is counted by a meter as it is re-serialized
-// toward the target, so ShipBytes reports actual wire bytes (shipment
-// framing included — the tree path's per-record count omits the
-// <shipment>/<instance> wrappers).
-func (a *Agency) executeStreamed(service string, plan *Plan, opts ExecOptions) (*Report, error) {
-	link := opts.Link
-	src, tgt := a.parties(service)
-	if src == nil || tgt == nil {
-		return nil, fmt.Errorf("registry: service %q not fully registered", service)
-	}
-	sch := src.Fragmentation.Schema
-	progXML, err := wire.EncodeProgram(plan.Program, plan.Assign)
-	if err != nil {
-		return nil, err
-	}
-	codec, err := opts.effectiveCodec()
-	if err != nil {
-		return nil, err
-	}
-	trace := newTrace(service, "streamed")
-	report := &Report{Plan: plan, Codec: codec.String(), Trace: trace}
-
-	reqS := sourceRequest(progXML, opts)
-	dec := wire.NewShipmentDecoder(sch, fragLookup(plan.Program))
-	dec.Workers = opts.ParallelChunks
-	dec.Met = opts.Metrics
-	scanS := &sourceRespScan{dec: dec}
-
-	cs := opts.client(src.URL)
-	advertise(cs, codec)
-	srcSpan := trace.Child("source")
-	err = cs.CallStream("ExecuteSource", func(w io.Writer) error {
-		return xmltree.Write(w, reqS, xmltree.WriteOptions{EmitAllIDs: true})
-	}, scanS)
-	srcSpan.End()
-	if err != nil {
-		srcSpan.Set("err", err.Error())
-		return report, fmt.Errorf("registry: source execution: %w", err)
-	}
-	if !scanS.sawShipment {
-		return report, fmt.Errorf("registry: source returned no shipment")
-	}
-	if scanS.codec != "" {
-		report.Codec = scanS.codec
-	}
-	report.SourceTime = parseMillis(scanS.queryMillis)
-	inbound, err := dec.Result()
-	if err != nil {
-		return report, fmt.Errorf("registry: source shipment: %w", err)
-	}
-	report.PayloadBytes = wire.ShipmentBytes(inbound)
-
-	open := `<ExecuteTarget`
-	if opts.Pipelined {
-		open += ` pipelined="1"`
-	}
-	open += `>`
-	tb := &xmltree.TreeBuilder{}
-	ct := opts.client(tgt.URL)
-	delSpan := trace.Child("deliver")
-	err = ct.CallStream("ExecuteTarget", func(w io.Writer) error {
-		if _, err := io.WriteString(w, open); err != nil {
-			return err
-		}
-		if err := xmltree.Write(w, progXML, xmltree.WriteOptions{EmitAllIDs: true}); err != nil {
-			return err
-		}
-		m := netsim.NewMeter(w)
-		sw := wire.NewShipmentWriterCodec(m, sch, codec)
-		sw.SetWorkers(opts.ParallelChunks)
-		sw.SetObs(opts.Metrics)
-		if err := wire.EmitShipment(sw, inbound); err != nil {
-			sw.Close()
-			return err
-		}
-		if err := sw.Close(); err != nil {
-			return err
-		}
-		report.WireBytes = m.Bytes()
-		report.ShipBytes = report.WireBytes
-		_, err := io.WriteString(w, `</ExecuteTarget>`)
-		return err
-	}, tb)
-	delSpan.End()
-	if err != nil {
-		delSpan.Set("err", err.Error())
-		return report, fmt.Errorf("registry: target execution: %w", err)
-	}
-	report.ShipTime = link.TransferTime(report.ShipBytes)
-	if respT := tb.Root(); respT != nil {
-		if v, ok := respT.Attr("execMillis"); ok {
-			report.TargetTime = parseMillis(v)
-		}
-		if v, ok := respT.Attr("writeMillis"); ok {
-			report.WriteTime = parseMillis(v)
-		}
-		if v, ok := respT.Attr("indexMillis"); ok {
-			report.IndexTime = parseMillis(v)
-		}
-	}
-	return report, nil
 }

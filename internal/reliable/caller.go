@@ -6,8 +6,8 @@ import (
 	"xdx/internal/soap"
 )
 
-// Config switches an exchange onto the reliable path and tunes it. The
-// zero value of every field selects a sane default, so &Config{} enables
+// Config tunes an exchange's retries, sessions and breakers. The zero
+// value of every field selects a sane default, so &Config{} enables
 // reliability as-is.
 type Config struct {
 	// Policy is the retry/backoff/deadline policy.

@@ -10,6 +10,9 @@ package reliable
 // records replayed by an overlapping resume dedup instead of doubling.
 
 import (
+	"crypto/rand"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"sort"
 	"sync"
@@ -304,11 +307,27 @@ func (s *SessionStore) Len() int {
 // sessionCounter disambiguates session IDs minted in the same process.
 var sessionCounter atomic.Int64
 
+// sessionProc tags the session IDs of this process: 32 random bits drawn
+// once at start. Two agencies with the same seed, or one agency after a
+// restart, restart the counter too; without the tag they would mint IDs a
+// target may still hold a session (and a stored response) for.
+var sessionProc = newSessionProc()
+
+// newSessionProc draws a process tag from crypto/rand, falling back to
+// the clock if the system source fails.
+func newSessionProc() string {
+	var b [4]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		binary.BigEndian.PutUint32(b[:], uint32(time.Now().UnixNano()))
+	}
+	return hex.EncodeToString(b[:])
+}
+
 // NewSessionID mints a wire-safe session identifier. The seed folds in the
-// exchange's reliability seed so ID sequences are reproducible per config;
+// exchange's reliability seed, the process tag keeps processes apart, and
 // the process-wide counter keeps concurrent exchanges distinct.
 func NewSessionID(seed int64) string {
-	return fmt.Sprintf("x%x-%d", uint64(seed)&0xffffff, sessionCounter.Add(1))
+	return fmt.Sprintf("x%x-%s-%d", uint64(seed)&0xffffff, sessionProc, sessionCounter.Add(1))
 }
 
 // Chunk is one resumable unit of a shipment: a batch of records of one

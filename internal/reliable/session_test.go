@@ -98,6 +98,25 @@ func TestNewSessionIDUnique(t *testing.T) {
 	}
 }
 
+func TestNewSessionIDUniqueAcrossRestart(t *testing.T) {
+	// A restarted agency starts its counter over under the same seed; the
+	// IDs it mints must still differ from every ID minted before, or a
+	// target holding an old session would replay that session's response.
+	before := map[string]bool{}
+	for i := 0; i < 100; i++ {
+		before[NewSessionID(0)] = true
+	}
+	savedN, savedProc := sessionCounter.Load(), sessionProc
+	defer func() { sessionCounter.Store(savedN); sessionProc = savedProc }()
+	sessionCounter.Store(0)
+	sessionProc = newSessionProc()
+	for i := 0; i < 100; i++ {
+		if id := NewSessionID(0); before[id] {
+			t.Fatalf("session ID %s minted again after a restart", id)
+		}
+	}
+}
+
 func TestChunkShipment(t *testing.T) {
 	sch := schema.CustomerInfo()
 	frag, err := core.NewFragment(sch, "F", []string{"Customer", "CustName"})

@@ -53,13 +53,14 @@ make soak
 # Delta-correctness smoke: the churn property test (patched target equals
 # full re-ship record-for-record), the mid-delta crash/fallback arm, the
 # source-restart fallback, the relay's rejection of hostile source
-# responses (delta cases included), and the target's incremental apply
+# responses (delta cases included), a delta under the plain one-attempt
+# policy, and the target's incremental apply
 # (churn property at registry and endpoint level, every full-path fallback,
 # the store's in-place record replacement), re-run without the race
 # detector as a fast standalone gate — a delta that ships or applies the
 # wrong records must never reach a snapshot run.
-go test -count=1 -run 'TestDeltaExchangeChurnProperty|TestDeltaExchangeCrashRestartFallsBack|TestDeltaSourceRestartFallsBackToFull|TestRelayRejectsHostileSourceResponses|TestDeltaExchangeChurnAppliesIncrementally' ./internal/registry/
-go test -count=1 -run 'TestIncrementalApplyChurnProperty|TestIncrementalFallback|TestIncrementalStoreFailureDropsBase|TestIncrementalConcurrentStreams' ./internal/endpoint/
+go test -count=1 -run 'TestDeltaExchangeChurnProperty|TestDeltaExchangeCrashRestartFallsBack|TestDeltaSourceRestartFallsBackToFull|TestRelayRejectsHostileSourceResponses|TestDeltaExchangeChurnAppliesIncrementally|TestDeltaExchangePlainPolicy' ./internal/registry/
+go test -count=1 -run 'TestIncrementalApplyChurnProperty|TestIncrementalFallback|TestIncrementalStoreFailureDropsBase|TestFullApplyFailureDropsBase|TestIncrementalConcurrentStreams' ./internal/endpoint/
 go test -count=1 -run 'TestStoreDeleteRootsThenLoad|TestRowSlabSizedToLoad' ./internal/relstore/
 
 # Process-kill smoke: SIGKILL a durable target endpoint mid-exchange,

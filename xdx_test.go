@@ -105,7 +105,7 @@ func TestFacadeOptimalExchange(t *testing.T) {
 	}
 }
 
-func TestFacadeParallelExecution(t *testing.T) {
+func TestFacadePipelinedExecution(t *testing.T) {
 	sch, src, tgt, model := facadeSetup(t)
 	m, _ := xdx.NewMapping(src, tgt)
 	gr, err := xdx.Greedy(m, model)
@@ -115,7 +115,7 @@ func TestFacadeParallelExecution(t *testing.T) {
 	doc, _ := xdx.ParseDocument(strings.NewReader(facadeDoc))
 	xdx.AssignIDs(doc)
 	sources, _ := xdx.FromDocument(src, doc)
-	if _, err := xdx.ExecuteParallel(gr.Program, sch, sources); err != nil {
+	if _, err := xdx.ExecutePipelined(gr.Program, sch, sources); err != nil {
 		t.Fatal(err)
 	}
 }
